@@ -27,9 +27,10 @@
 //! let store = ChunkStore::create(
 //!     Arc::new(MemStore::new()), &secret,
 //!     Arc::new(VolatileCounter::new()), ChunkStoreConfig::default()).unwrap();
-//! let id = store.allocate_chunk_id().unwrap();
-//! store.write(id, b"meter").unwrap();
-//! store.commit(Durability::Durable).unwrap();
+//! let mut batch = store.begin_batch();
+//! let id = batch.allocate_chunk_id().unwrap();
+//! batch.write(id, b"meter").unwrap();
+//! store.commit_batch(batch, Durability::Durable).unwrap();
 //!
 //! let archive = Arc::new(MemArchive::new());
 //! let mut mgr = BackupManager::new(archive.clone(), &secret,

@@ -3,7 +3,7 @@
 
 use backup_store::{BackupError, BackupManager};
 use chunk_store::Durability;
-use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, SecurityMode};
+use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, SecurityMode, WriteBatch};
 use std::sync::Arc;
 use tdb_platform::{ArchivalStore, MemArchive, MemSecretStore, MemStore, VolatileCounter};
 
@@ -21,19 +21,20 @@ fn new_store() -> ChunkStore {
     .unwrap()
 }
 
-fn put(store: &ChunkStore, data: &[u8]) -> ChunkId {
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, data).unwrap();
+fn put(batch: &mut WriteBatch, data: &[u8]) -> ChunkId {
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, data).unwrap();
     id
 }
 
 #[test]
 fn full_backup_and_restore_roundtrip() {
     let store = new_store();
+    let mut batch = store.begin_batch();
     let ids: Vec<_> = (0..25)
-        .map(|i| put(&store, format!("chunk-{i}").as_bytes()))
+        .map(|i| put(&mut batch, format!("chunk-{i}").as_bytes()))
         .collect();
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
@@ -48,31 +49,34 @@ fn full_backup_and_restore_roundtrip() {
     }
     assert_eq!(restored.live_chunks(), 25);
     // Allocation state restored: a new id does not collide.
-    let fresh = restored.allocate_chunk_id().unwrap();
+    let fresh = restored.begin_batch().allocate_chunk_id().unwrap();
     assert!(!ids.contains(&fresh));
 }
 
 #[test]
 fn incremental_chain_restores_in_order() {
     let store = new_store();
-    let a = put(&store, b"a-v1");
-    let b = put(&store, b"b-v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = put(&mut batch, b"a-v1");
+    let b = put(&mut batch, b"b-v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let full = mgr.backup_full(&store).unwrap();
 
     // Change 1: update a, add c.
-    store.write(a, b"a-v2").unwrap();
-    let c = put(&store, b"c-v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"a-v2").unwrap();
+    let c = put(&mut batch, b"c-v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr1 = mgr.backup_incremental(&store).unwrap();
 
     // Change 2: remove b, update c.
-    store.deallocate(b).unwrap();
-    store.write(c, b"c-v2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.deallocate(b).unwrap();
+    batch.write(c, b"c-v2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr2 = mgr.backup_incremental(&store).unwrap();
 
     let restored = new_store();
@@ -93,15 +97,17 @@ fn incremental_chain_restores_in_order() {
 #[test]
 fn incremental_is_small() {
     let store = new_store();
-    let ids: Vec<_> = (0..200).map(|i| put(&store, &[i as u8; 100])).collect();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let ids: Vec<_> = (0..200).map(|i| put(&mut batch, &[i as u8; 100])).collect();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let full = mgr.backup_full(&store).unwrap();
 
-    store.write(ids[7], b"tiny change").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(ids[7], b"tiny change").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr = mgr.backup_incremental(&store).unwrap();
 
     let full_len = archive.len_of(&full).unwrap();
@@ -126,8 +132,9 @@ fn incremental_without_base_fails() {
 #[test]
 fn corrupted_backup_is_rejected_entirely() {
     let store = new_store();
-    put(&store, b"precious");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"precious");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let name = mgr.backup_full(&store).unwrap();
@@ -145,8 +152,9 @@ fn corrupted_backup_is_rejected_entirely() {
 #[test]
 fn truncated_backup_is_rejected() {
     let store = new_store();
-    put(&store, b"precious");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"precious");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let name = mgr.backup_full(&store).unwrap();
@@ -166,16 +174,19 @@ fn truncated_backup_is_rejected() {
 #[test]
 fn out_of_order_incrementals_are_rejected() {
     let store = new_store();
-    let a = put(&store, b"v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = put(&mut batch, b"v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let full = mgr.backup_full(&store).unwrap();
-    store.write(a, b"v2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr1 = mgr.backup_incremental(&store).unwrap();
-    store.write(a, b"v3").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v3").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr2 = mgr.backup_incremental(&store).unwrap();
 
     // Swapped order.
@@ -206,13 +217,15 @@ fn out_of_order_incrementals_are_rejected() {
 #[test]
 fn chain_must_start_with_full() {
     let store = new_store();
-    let a = put(&store, b"v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = put(&mut batch, b"v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let _full = mgr.backup_full(&store).unwrap();
-    store.write(a, b"v2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let incr = mgr.backup_incremental(&store).unwrap();
 
     let restored = new_store();
@@ -225,18 +238,21 @@ fn chain_must_start_with_full() {
 #[test]
 fn latest_chain_discovery() {
     let store = new_store();
-    let a = put(&store, b"v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = put(&mut batch, b"v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     mgr.backup_full(&store).unwrap();
-    store.write(a, b"v2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     mgr.backup_incremental(&store).unwrap();
     // Second full resets the chain.
     mgr.backup_full(&store).unwrap();
-    store.write(a, b"v3").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v3").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     mgr.backup_incremental(&store).unwrap();
 
     let chain = BackupManager::latest_chain(&*archive).unwrap();
@@ -252,8 +268,9 @@ fn latest_chain_discovery() {
 #[test]
 fn backup_under_wrong_secret_cannot_restore() {
     let store = new_store();
-    put(&store, b"x");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"x");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let name = mgr.backup_full(&store).unwrap();
@@ -273,8 +290,9 @@ fn backup_under_wrong_secret_cannot_restore() {
 #[test]
 fn backup_streams_are_encrypted() {
     let store = new_store();
-    put(&store, b"DO-NOT-LEAK-ME-0123456789");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"DO-NOT-LEAK-ME-0123456789");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let name = mgr.backup_full(&store).unwrap();
@@ -287,15 +305,17 @@ fn backup_streams_are_encrypted() {
 #[test]
 fn restore_into_nonempty_store_fails() {
     let store = new_store();
-    put(&store, b"x");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"x");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
     let name = mgr.backup_full(&store).unwrap();
 
     let target = new_store();
-    put(&target, b"already here");
-    target.commit(Durability::Durable).unwrap();
+    let mut batch = target.begin_batch();
+    put(&mut batch, b"already here");
+    target.commit_batch(batch, Durability::Durable).unwrap();
     assert!(BackupManager::restore_chain(
         &*archive,
         &secret(),
@@ -309,8 +329,9 @@ fn restore_into_nonempty_store_fails() {
 #[test]
 fn manager_continues_sequence_from_archive() {
     let store = new_store();
-    put(&store, b"x");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    put(&mut batch, b"x");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let first_name;
     {
@@ -327,22 +348,26 @@ fn manager_continues_sequence_from_archive() {
 #[test]
 fn prune_keeps_newest_chains() {
     let store = new_store();
-    let a = put(&store, b"v1");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = put(&mut batch, b"v1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Full).unwrap();
 
     // Chain 1: full + incr. Chain 2: full + 2 incrs. Chain 3: full.
     mgr.backup_full(&store).unwrap();
-    store.write(a, b"v2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     mgr.backup_incremental(&store).unwrap();
     mgr.backup_full(&store).unwrap();
-    store.write(a, b"v3").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v3").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     mgr.backup_incremental(&store).unwrap();
-    store.write(a, b"v4").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"v4").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     mgr.backup_incremental(&store).unwrap();
     mgr.backup_full(&store).unwrap();
     assert_eq!(BackupManager::list_backups(&*archive).unwrap().len(), 6);
@@ -374,8 +399,9 @@ fn off_mode_backup_roundtrip() {
         cfg.clone(),
     )
     .unwrap();
-    let id = put(&store, b"plain");
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = put(&mut batch, b"plain");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret(), SecurityMode::Off).unwrap();
     let name = mgr.backup_full(&store).unwrap();

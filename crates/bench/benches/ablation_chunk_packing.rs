@@ -17,32 +17,36 @@ fn bench_packing(c: &mut Criterion) {
     for n in [1usize, 4, 16] {
         // Single-object chunks: write just the touched object.
         let store = bench_chunk_store(ChunkStoreConfig::default());
+        let mut batch = store.begin_batch();
         let ids: Vec<_> = (0..n)
             .map(|_| {
-                let id = store.allocate_chunk_id().unwrap();
-                store.write(id, &[1u8; OBJ]).unwrap();
+                let id = batch.allocate_chunk_id().unwrap();
+                batch.write(id, &[1u8; OBJ]).unwrap();
                 id
             })
             .collect();
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         group.bench_function(BenchmarkId::new("single_object_chunks", n), |b| {
             b.iter(|| {
-                store.write(ids[0], &[2u8; OBJ]).unwrap();
-                store.commit(Durability::Durable).unwrap();
+                let mut batch = store.begin_batch();
+                batch.write(ids[0], &[2u8; OBJ]).unwrap();
+                store.commit_batch(batch, Durability::Durable).unwrap();
             })
         });
 
         // Multi-object chunk: the container is re-composed and rewritten.
         let store = bench_chunk_store(ChunkStoreConfig::default());
-        let packed = store.allocate_chunk_id().unwrap();
-        store.write(packed, &vec![1u8; OBJ * n]).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let packed = batch.allocate_chunk_id().unwrap();
+        batch.write(packed, &vec![1u8; OBJ * n]).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         group.bench_function(BenchmarkId::new("multi_object_chunk", n), |b| {
             b.iter(|| {
                 let mut all = store.read(packed).unwrap();
                 all[..OBJ].copy_from_slice(&[2u8; OBJ]);
-                store.write(packed, &all).unwrap();
-                store.commit(Durability::Durable).unwrap();
+                let mut batch = store.begin_batch();
+                batch.write(packed, &all).unwrap();
+                store.commit_batch(batch, Durability::Durable).unwrap();
             })
         });
     }

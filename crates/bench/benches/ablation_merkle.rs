@@ -19,13 +19,15 @@ fn bench_roundtrip(c: &mut Criterion) {
             ..Default::default()
         };
         let store = bench_chunk_store(cfg);
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &[7u8; 1024]).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &[7u8; 1024]).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                store.write(id, &[7u8; 1024]).unwrap();
-                store.commit(Durability::Durable).unwrap();
+                let mut batch = store.begin_batch();
+                batch.write(id, &[7u8; 1024]).unwrap();
+                store.commit_batch(batch, Durability::Durable).unwrap();
                 store.read(id).unwrap()
             })
         });

@@ -13,14 +13,15 @@ use tdb_platform::{MemArchive, MemSecretStore};
 fn bench_backup(c: &mut Criterion) {
     let secret = MemSecretStore::from_label("bench");
     let store = bench_chunk_store(ChunkStoreConfig::default());
+    let mut batch = store.begin_batch();
     let ids: Vec<_> = (0..2000)
         .map(|i: u32| {
-            let id = store.allocate_chunk_id().unwrap();
-            store.write(id, &i.to_le_bytes().repeat(25)).unwrap();
+            let id = batch.allocate_chunk_id().unwrap();
+            batch.write(id, &i.to_le_bytes().repeat(25)).unwrap();
             id
         })
         .collect();
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     c.bench_function("backup_full_2k_chunks", |b| {
         b.iter(|| {
@@ -36,10 +37,11 @@ fn bench_backup(c: &mut Criterion) {
         mgr.backup_full(&store).unwrap();
         let mut round = 0u32;
         b.iter(|| {
-            store
+            let mut batch = store.begin_batch();
+            batch
                 .write(ids[0], &round.to_le_bytes().repeat(25))
                 .unwrap();
-            store.commit(Durability::Durable).unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
             round += 1;
             mgr.backup_incremental(&store).unwrap()
         })

@@ -18,9 +18,10 @@ fn bench_write_commit(c: &mut Criterion) {
         let payload = vec![0x5Au8; 100];
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
-                let id = store.allocate_chunk_id().unwrap();
-                store.write(id, &payload).unwrap();
-                store.commit(Durability::Durable).unwrap();
+                let mut batch = store.begin_batch();
+                let id = batch.allocate_chunk_id().unwrap();
+                batch.write(id, &payload).unwrap();
+                store.commit_batch(batch, Durability::Durable).unwrap();
             })
         });
     }
@@ -35,14 +36,15 @@ fn bench_read(c: &mut Criterion) {
             ..Default::default()
         };
         let store = bench_chunk_store(cfg);
+        let mut batch = store.begin_batch();
         let ids: Vec<_> = (0..1000)
             .map(|i| {
-                let id = store.allocate_chunk_id().unwrap();
-                store.write(id, &[i as u8; 100]).unwrap();
+                let id = batch.allocate_chunk_id().unwrap();
+                batch.write(id, &[i as u8; 100]).unwrap();
                 id
             })
             .collect();
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         let mut i = 0usize;
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
@@ -56,16 +58,18 @@ fn bench_read(c: &mut Criterion) {
 
 fn bench_checkpoint(c: &mut Criterion) {
     let store = bench_chunk_store(ChunkStoreConfig::default());
+    let mut batch = store.begin_batch();
     for i in 0..500u32 {
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &i.to_le_bytes().repeat(25)).unwrap();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &i.to_le_bytes().repeat(25)).unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     c.bench_function("chunk_checkpoint_after_one_commit", |b| {
         b.iter(|| {
             let id = chunk_store::ChunkId(0);
-            store.write(id, b"dirty one path").unwrap();
-            store.commit(Durability::Durable).unwrap();
+            let mut batch = store.begin_batch();
+            batch.write(id, b"dirty one path").unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
             store.checkpoint().unwrap();
         })
     });

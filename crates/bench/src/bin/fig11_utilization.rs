@@ -52,7 +52,6 @@ fn main() {
     for util in [0.5, 0.6, 0.7, 0.8, 0.9] {
         let mut db_cfg = DatabaseConfig::without_security();
         db_cfg.chunk.max_utilization = util;
-        db_cfg.chunk.free_segment_reserve = 2;
         let mut driver = TdbDriver::new(Arc::new(MemStore::new()), db_cfg);
         let before = driver.database().stats();
         let report = run_benchmark(&mut driver, &cfg);

@@ -4,7 +4,7 @@
 //!
 //! * **plain** — the ordinary typed read (cache fast path allowed);
 //! * **deferred** — a proven read that only captures the bookmark
-//!   ([`Proven`] without calling `prove()`), i.e. what every read pays
+//!   (`Proven` without calling `prove()`), i.e. what every read pays
 //!   once an application switches to proof-carrying reads but extracts
 //!   proofs lazily;
 //! * **eager** — proven read + `prove()` + wire encoding per read, the
@@ -27,6 +27,7 @@ use tdb::{
     Persistent, PickleError, Pickler, Unpickler,
 };
 use tdb_bench::env_u64;
+use tdb_bench::proof_dump::dump_json;
 use tdb_bench::telemetry::{
     bench_doc, latency_ms_json, push_result, results_dir, write_bench_json,
 };
@@ -202,7 +203,7 @@ fn main() {
     // Export one dump for `tdb-doctor verify-proof`.
     let dump_path = results_dir().join("proof_dump.json");
     std::fs::create_dir_all(results_dir()).unwrap();
-    std::fs::write(&dump_path, wire::dump_json(&proof, &anchor, Some(&bytes))).unwrap();
+    std::fs::write(&dump_path, dump_json(&proof, &anchor, Some(&bytes))).unwrap();
     eprintln!("telemetry: wrote {}", dump_path.display());
 
     let counters_after = db.obs().snapshot();

@@ -14,9 +14,10 @@ fn main() {
         ChunkStoreConfig::default(),
     )
     .unwrap();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"probe").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"probe").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let archive = Arc::new(MemArchive::new());
     let mut mgr = BackupManager::new(archive.clone(), &secret, SecurityMode::Full).unwrap();
     let full = mgr.backup_full(&store).unwrap();

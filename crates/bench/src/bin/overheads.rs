@@ -25,9 +25,10 @@ fn measure(mode: SecurityMode, payload: usize, chunks: u64) -> (f64, f64, Regist
     let store = bench_chunk_store(cfg);
     let base = store.stats();
     for _ in 0..chunks {
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &vec![0xABu8; payload]).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &vec![0xABu8; payload]).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let s = store.stats().since(&base);
     let chunk_overhead =

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! `verify-proof` checks an offline proof dump (written by
-//! [`tdb::proof::wire::dump_json`]): it rebuilds the standalone verifier
+//! [`tdb_bench::proof_dump::dump_json`]): it rebuilds the standalone verifier
 //! from the embedded trust anchor and accepts or rejects the proof, with
 //! no database involved.
 //!
@@ -25,7 +25,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use tdb::proof::{wire, TrustKeys, Verifier};
+use tdb::proof::{TrustKeys, Verifier};
 use tdb_obs::Json;
 
 fn main() -> ExitCode {
@@ -114,7 +114,7 @@ fn verify_proof(path: &Path) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let dump = match wire::parse_dump_json(&text) {
+    let dump = match tdb_bench::proof_dump::parse_dump_json(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("tdb-doctor: {} is not a proof dump: {e}", path.display());

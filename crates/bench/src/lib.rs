@@ -11,6 +11,7 @@ use chunk_store::{ChunkStore, ChunkStoreConfig};
 use std::sync::Arc;
 use tdb_platform::{MemSecretStore, MemStore, VolatileCounter};
 
+pub mod proof_dump;
 pub mod telemetry;
 
 /// Fresh in-memory chunk store for benchmarks.

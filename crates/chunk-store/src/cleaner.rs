@@ -4,24 +4,23 @@
 //! obsolete. Periodically, obsolete chunk versions must be reclaimed by a
 //! log cleaner." (paper §3.2.1)
 //!
-//! A pass is three phases, so the background maintenance thread can run it
-//! incrementally (releasing the store lock between relocation slices)
-//! while the synchronous path runs all three under one lock hold:
+//! A pass is three phases, so `maintenance::incremental_pass` can run it
+//! incrementally, releasing the store lock between relocation slices:
 //!
-//! 1. [`select_victims`] settles accounting with a durable anchor
+//! 1. `select_victims` settles accounting with a durable anchor
 //!    (pending-dead extents are subtracted; nothing nondurable remains
 //!    reclaim-blocked — the §3.2.2 rule), then picks victims: **all**
 //!    fully dead segments (freed without copying), plus the lowest-live
 //!    partial segments capped at `cleaner_batch` (excluding the tail,
 //!    residual-log segments, and segments pinned by live snapshots) — the
 //!    cap bounds per-pass cleaning cost (§3.2.1);
-//! 2. [`relocate_slice`] relocates up to a bounded number of live chunk
+//! 2. `relocate_slice` relocates up to a bounded number of live chunk
 //!    records verbatim (same sealed bytes, same hash — only the location
 //!    changes). Each slice re-checks snapshot pins — a snapshot opened
 //!    between slices still references old locations, so its victims are
 //!    dropped from the plan — and re-fetches every chunk's current
 //!    location, skipping chunks rewritten or deallocated since selection;
-//! 3. [`finish_pass`] dirties the victims' live map pages and checkpoints —
+//! 3. `finish_pass` dirties the victims' live map pages and checkpoints —
 //!    the new anchor references only the new locations, so a crash at any
 //!    point leaves a recoverable database (an abandoned pass is just dead
 //!    log tail) — then frees the still-dead, still-unpinned victims,
@@ -36,21 +35,9 @@ use crate::ids::SegmentId;
 use crate::layout::RecordKind;
 use crate::map::Location;
 use crate::stats::add;
-use crate::store::Inner;
+use crate::store::{AnchorLane, Inner, FREE_SEGMENT_RESERVE};
 use crate::ChunkId;
 use std::collections::HashSet;
-
-/// What a completed cleaning pass means for the caller. `Freed(0)` is not
-/// the same as `NoGarbage`: victims existed but could not be freed (all
-/// pinned mid-pass, or the pass's own checkpoint traffic re-used them), so
-/// an out-of-space caller must treat the round as *gave up*, not clean.
-pub(crate) enum CleanOutcome {
-    /// Nothing reclaimable: every in-use segment is the tail, residual,
-    /// pinned, or too full to be worth copying.
-    NoGarbage,
-    /// A pass ran to completion and freed this many segments.
-    Freed(usize),
-}
 
 /// The persistent state of one in-flight cleaning pass: victims chosen by
 /// [`select_victims`], chunk ids still to relocate. Locations are *not*
@@ -85,7 +72,7 @@ pub(crate) fn select_victims(inner: &mut Inner) -> Result<Option<CleanPlan>> {
     // time per pass; the closing checkpoint is the one that matters for
     // correctness.)
     inner.segs.flush()?;
-    inner.durable_anchor(true, crate::store::AnchorLane::Maintenance)?;
+    inner.durable_anchor(true, AnchorLane::Maintenance)?;
 
     let seg_size = inner.segs.segment_size() as u64;
     let tail = inner.segs.tail_pos().0;
@@ -268,30 +255,6 @@ pub(crate) fn finish_pass(inner: &mut Inner, plan: &CleanPlan) -> Result<usize> 
             );
         }
     }
-    inner
-        .segs
-        .drop_excess_free(inner.cfg.free_segment_reserve)?;
+    inner.segs.drop_excess_free(FREE_SEGMENT_RESERVE)?;
     Ok(freed)
-}
-
-/// Run one synchronous cleaning pass under a continuous lock hold (the
-/// inline-maintenance path; the background thread drives the same three
-/// phases through `maintenance::incremental_pass`, unlocking between
-/// slices).
-pub(crate) fn clean_pass(inner: &mut Inner) -> Result<CleanOutcome> {
-    let mut sw = tdb_obs::Stopwatch::start();
-    let out = clean_pass_inner(inner);
-    if sw.running() {
-        inner.stats.phases.cleaner_pass.record(sw.lap());
-    }
-    out
-}
-
-fn clean_pass_inner(inner: &mut Inner) -> Result<CleanOutcome> {
-    let Some(mut plan) = select_victims(inner)? else {
-        return Ok(CleanOutcome::NoGarbage);
-    };
-    let slice = inner.cfg.maintenance_slice_chunks;
-    while !relocate_slice(inner, &mut plan, slice)? {}
-    finish_pass(inner, &plan).map(CleanOutcome::Freed)
 }

@@ -64,20 +64,13 @@ pub struct ChunkStoreConfig {
     /// returns `OutOfSpace` when cleaning cannot free enough; used by tests
     /// to exercise the space-pressure paths deterministically.
     pub allow_growth: bool,
-    /// Maximum number of free chunk ids remembered across restarts in the
-    /// anchor; ids beyond this leak (they are never handed out again),
-    /// which only wastes map slots.
-    pub free_list_cap: usize,
-    /// Keep at most this many free segments around before truncating them
-    /// away; bounds on-disk size after bursts (Figure 11's "resulting
-    /// database size").
-    pub free_segment_reserve: usize,
     /// Run checkpointing and cleaning on a dedicated maintenance thread.
     /// Commits only kick the thread (watermark checks are cheap); the
     /// thread relocates in bounded slices, releasing the store lock
-    /// between slices so committers interleave. When false, maintenance
-    /// runs inline on the committing thread (the pre-thread behavior,
-    /// kept for deterministic tests and the tail-latency baseline).
+    /// between slices so committers interleave. When false, the
+    /// committing thread runs the same maintenance round itself — every
+    /// checkpoint and clean then happens at a deterministic point, which
+    /// the unit tests and the torture sweep need.
     pub background_maintenance: bool,
     /// Low watermark: the maintenance thread starts cleaning when the
     /// free-segment count falls below this (and utilization permits).
@@ -88,20 +81,6 @@ pub struct ChunkStoreConfig {
     /// Chunks relocated per maintenance slice. Bounds how long the store
     /// lock is held by one slice of a background cleaning pass.
     pub maintenance_slice_chunks: usize,
-    /// Recompute the proof-tree digests of all dirty root-to-leaf map
-    /// paths in one batched bottom-up pass after each durable anchor
-    /// round. With the maintenance thread running, the leader hands the
-    /// frozen root there (consecutive rounds coalesce, so hot leaves are
-    /// hashed once per batch — `maint.rehash`; on a single-CPU host the
-    /// warm-up is skipped, since it could only preempt the commit path);
-    /// otherwise the pass runs in the leader's round, outside the store
-    /// lock, overlapping the next group's appends (`commit.rehash`).
-    /// Either way the pass dedups
-    /// upper nodes shared across the group's commits and feeds whole
-    /// levels through the multi-lane SHA-256 path, so later proof minting
-    /// finds the Merkle memos hot instead of hashing lazily per path. No
-    /// effect when hashing is off ([`SecurityMode::Off`]).
-    pub eager_proof_rehash: bool,
     /// Number of independent chunk-store shards the object space is
     /// partitioned across (see [`ShardedChunkStore`](crate::ShardedChunkStore)).
     /// Each shard gets its own log, location map, and group-commit
@@ -122,13 +101,10 @@ impl Default for ChunkStoreConfig {
             cleaner_batch: 32,
             initial_segments: 4,
             allow_growth: true,
-            free_list_cap: 4096,
-            free_segment_reserve: 4,
             background_maintenance: true,
             clean_low_free: 1,
             clean_high_free: 2,
             maintenance_slice_chunks: 64,
-            eager_proof_rehash: true,
             shards: 1,
         }
     }
@@ -144,9 +120,8 @@ impl ChunkStoreConfig {
             checkpoint_threshold: 16 * 1024,
             initial_segments: 2,
             cleaner_batch: 4,
-            free_segment_reserve: 2,
-            // Inline maintenance: unit tests (and the torture sweep) need
-            // every checkpoint/clean to happen at a deterministic point.
+            // Committer-driven maintenance: unit tests (and the torture
+            // sweep) need every checkpoint/clean at a deterministic point.
             background_maintenance: false,
             ..Default::default()
         }
@@ -188,6 +163,11 @@ impl ChunkStoreConfig {
         }
         if self.initial_segments < 2 {
             return Err("initial_segments must be at least 2".into());
+        }
+        if self.cleaner_batch == 0 {
+            // The cleaner would never copy a partial segment, and a
+            // fixed-size log would report a false `OutOfSpace`.
+            return Err("cleaner_batch must be at least 1".into());
         }
         if self.clean_high_free < self.clean_low_free {
             return Err("clean_high_free must be at least clean_low_free".into());
@@ -231,6 +211,11 @@ mod tests {
         assert!(c.validate().is_err());
         let c = ChunkStoreConfig {
             initial_segments: 1,
+            ..Default::default()
+        };
+        assert!(c.validate().is_err());
+        let c = ChunkStoreConfig {
+            cleaner_batch: 0,
             ..Default::default()
         };
         assert!(c.validate().is_err());

@@ -5,7 +5,7 @@ use std::fmt;
 /// The persistent name of a chunk (paper Fig. 2: `ChunkId`).
 ///
 /// Ids are allocated by
-/// [`ChunkStore::allocate_chunk_id`](crate::ChunkStore::allocate_chunk_id)
+/// [`WriteBatch::allocate_chunk_id`](crate::WriteBatch::allocate_chunk_id)
 /// and reused after deallocation. The object store exposes the same value as
 /// `ObjectId` — TDB stores one object per chunk (§4.2.1).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

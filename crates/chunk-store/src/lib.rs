@@ -36,9 +36,12 @@
 //!     ChunkStoreConfig::default(),
 //! ).unwrap();
 //!
-//! let id = store.allocate_chunk_id().unwrap();
-//! store.write(id, b"pay-per-view meter: 3").unwrap();
-//! store.commit(Durability::Durable).unwrap();
+//! // The paper's Fig. 2 operations live on a per-transaction `WriteBatch`.
+//! let mut batch = store.begin_batch();
+//! let id = batch.allocate_chunk_id().unwrap();
+//! batch.write(id, b"pay-per-view meter: 3").unwrap();
+//! assert_eq!(batch.read(id).unwrap(), b"pay-per-view meter: 3");
+//! store.commit_batch(batch, Durability::Durable).unwrap();
 //! assert_eq!(store.read(id).unwrap(), b"pay-per-view meter: 3");
 //! ```
 

@@ -1,38 +1,43 @@
-//! The background maintenance thread: checkpointing and cleaning off the
-//! commit path.
+//! Maintenance: checkpointing and cleaning, one policy with two drivers.
 //!
-//! Committers never run maintenance when `background_maintenance` is on —
-//! the group-commit leader only checks two cheap watermarks after its
-//! round and *kicks* this thread:
+//! The policy is [`one_round`]: checkpoint when the residual log is long,
+//! then clean up to the high watermark. After a durable commit the
+//! committer checks two cheap watermarks
+//! (`StoreCore::after_commit_maintenance`):
 //!
 //! * residual log ≥ `checkpoint_threshold` → checkpoint;
 //! * free segments < `clean_low_free` (and utilization ≤ the configured
 //!   maximum) → clean until `clean_high_free` free segments exist or no
 //!   garbage remains.
 //!
+//! With `background_maintenance` on, it then *kicks* the maintenance
+//! thread, which runs the round off the commit path. With no thread
+//! (`background_maintenance` off, or after `ChunkStore::close`) the
+//! committer calls [`one_round`] itself, and its errors are the commit's.
+//!
 //! A cleaning pass runs *incrementally*: victim selection, then bounded
 //! relocation slices of `maintenance_slice_chunks` chunks each — the
 //! store lock is released between slices so committers interleave — then
 //! the closing checkpoint and the frees. Each slice re-checks snapshot
 //! pins and chunk locations, so commits and snapshots taken mid-pass are
-//! always honored (see `cleaner`). Crash-safety is unchanged from the
-//! synchronous cleaner: only the closing checkpoint anchors the
+//! always honored (see `cleaner`). Only the closing checkpoint anchors the
 //! relocations, so an abandoned pass is just dead log tail.
 //!
 //! Backpressure: a committer that hits `OutOfSpace` kicks the thread and
 //! blocks on [`MaintShared`]'s progress condvar until segments are freed
 //! or a maintenance round completes (see `StoreCore::stall_for_space`),
-//! then retries its append. The stall protocol is epoch-based to rule out
-//! lost wakeups: the waiter snapshots the `(rounds, free_epoch)` pair
-//! *under the handshake lock* before checking for free segments, and every
-//! notification advances one of the epochs under that same lock — so
-//! progress that lands between the waiter's check and its sleep makes the
-//! wait return immediately instead of being missed. Crucially,
-//! [`MaintShared::note_freed`] re-notifies after *every* segment free
-//! (mid-round, from the pass's closing checkpoint), not just at round end —
-//! the round-granular notify was the 1-CPU release hang: a waiter could
-//! sleep a full timeout (and, bounded at 8 tries, surface a spurious
-//! `OutOfSpace`) while free segments already existed.
+//! then retries its append; with no thread it runs the round and retries.
+//! The stall protocol is epoch-based to rule out lost wakeups: the waiter
+//! snapshots the `(rounds, free_epoch)` pair *under the handshake lock*
+//! before checking for free segments, and every notification advances one
+//! of the epochs under that same lock — so progress that lands between the
+//! waiter's check and its sleep makes the wait return immediately instead
+//! of being missed. Crucially, [`MaintShared::note_freed`] re-notifies
+//! after *every* segment free (mid-round, from the pass's closing
+//! checkpoint), not just at round end — the round-granular notify was the
+//! 1-CPU release hang: a waiter could sleep a full timeout (and, bounded at
+//! 8 tries, surface a spurious `OutOfSpace`) while free segments already
+//! existed.
 //!
 //! The thread also polls the [`tdb_obs::watchdog`] between kicks: when any
 //! registered operation (commit, stall, cross-shard commit) exceeds the
@@ -41,7 +46,7 @@
 //! anchor/counter/free-segment state — and writes it to `TDB_DIAG_DIR`.
 //!
 //! Shutdown (`ChunkStore::close` or drop) sets the shutdown flag and
-//! joins: an in-flight pass notices between slices and abandons.
+//! joins: the thread's in-flight pass notices between slices and abandons.
 
 use crate::cleaner::{self, CleanPlan};
 use crate::error::Result;
@@ -60,6 +65,12 @@ pub(crate) struct MaintShared {
     wake: Condvar,
     /// Wakes committers stalled for space (progress or shutdown).
     progress: Condvar,
+    /// Held for the length of a [`one_round`]: with no thread, two
+    /// committers can want a round at once, and the second must wait for
+    /// the first one's frees instead of finding its pass in flight and
+    /// concluding there is nothing to reclaim. Taken before the store
+    /// lock, never with it held.
+    round: Mutex<()>,
 }
 
 #[derive(Default)]
@@ -80,10 +91,6 @@ struct MaintState {
     /// mid-round — so stalled committers wake at the first free, not at
     /// round end.
     free_epoch: u64,
-    /// Segments freed by the most recently completed round. Stalled
-    /// committers use it to tell "round ran and reclaimed nothing" (give
-    /// up: true out-of-space) from "round still pending".
-    last_round_freed: u64,
 }
 
 /// A stalled committer's view of maintenance progress (see
@@ -104,26 +111,18 @@ impl MaintShared {
             state: Mutex::new(MaintState::default()),
             wake: Condvar::new(),
             progress: Condvar::new(),
+            round: Mutex::new(()),
         }
     }
 
     /// Mark the thread as live. Called before spawning it so a commit
-    /// racing store construction kicks instead of maintaining inline.
+    /// racing store construction kicks instead of driving a round.
     pub(crate) fn set_thread_running(&self) {
         self.state.lock().thread_running = true;
     }
 
     pub(crate) fn thread_running(&self) -> bool {
         self.state.lock().thread_running
-    }
-
-    /// Request a maintenance round (idempotent while one is pending).
-    pub(crate) fn kick(&self) {
-        let mut st = self.state.lock();
-        if !st.kicked {
-            st.kicked = true;
-            self.wake.notify_one();
-        }
     }
 
     /// Wake the thread to drain the deferred-rehash slot only — no
@@ -162,11 +161,12 @@ impl MaintShared {
         self.progress.notify_all();
     }
 
-    /// Snapshot the progress epochs and (re-)kick the thread. The epochs
-    /// are read under the handshake lock *before* the caller checks the
-    /// store's free count, so any progress that lands after this call is
-    /// guaranteed to make the next [`Self::wait_progress`] return
-    /// immediately.
+    /// Request a maintenance round from the thread, if there is one
+    /// (idempotent while a round is pending), and snapshot the progress
+    /// epochs. The epochs are read under the handshake lock *before* a
+    /// stalled caller checks the store's free count, so any progress that
+    /// lands after this call is guaranteed to make the next
+    /// [`Self::wait_progress`] return immediately.
     pub(crate) fn observe_and_kick(&self) -> StallProgress {
         let mut st = self.state.lock();
         if st.thread_running && !st.kicked {
@@ -215,7 +215,6 @@ impl MaintShared {
                 j.push("shutdown", st.shutdown);
                 j.push("rounds", st.rounds);
                 j.push("free_epoch", st.free_epoch);
-                j.push("last_round_freed", st.last_round_freed);
                 j
             }
             None => tdb_obs::Json::object([("locked", tdb_obs::Json::from(true))]),
@@ -328,7 +327,7 @@ pub(crate) fn run(core: Arc<StoreCore>) {
             // see the same error on their own operations, and the
             // backpressure path surfaces persistent out-of-space as an
             // error.
-            let freed = match one_round(&core) {
+            let freed = match one_round(&core, &|| !core.maint.shutdown_requested()) {
                 Ok(n) => n,
                 Err(e) => {
                     // Not fatal to the thread (see the comment above), but
@@ -352,7 +351,6 @@ pub(crate) fn run(core: Arc<StoreCore>) {
             {
                 let mut st = core.maint.state.lock();
                 st.rounds += 1;
-                st.last_round_freed = freed;
                 core.maint.progress.notify_all();
             }
         }
@@ -363,10 +361,14 @@ pub(crate) fn run(core: Arc<StoreCore>) {
     }
 }
 
-/// One maintenance round: checkpoint if the residual log is long, then
-/// clean up to the high watermark, one incremental pass at a time.
-/// Returns the number of segments freed.
-fn one_round(core: &StoreCore) -> Result<u64> {
+/// One maintenance round — the store's only maintenance policy:
+/// checkpoint if the residual log is long, then clean up to the high
+/// watermark, one incremental pass at a time. `keep_going` is the
+/// driver's say in it: the maintenance thread stops at shutdown, a
+/// committer driving its own round never does. Returns the number of
+/// segments freed.
+pub(crate) fn one_round(core: &StoreCore, keep_going: &dyn Fn() -> bool) -> Result<u64> {
+    let _round = core.maint.round.lock();
     let mut total_freed = 0u64;
     let covered = {
         let mut inner = core.inner.lock();
@@ -389,18 +391,19 @@ fn one_round(core: &StoreCore) -> Result<u64> {
     }
     let mut forced_checkpoint = false;
     loop {
-        if core.maint.shutdown_requested() {
+        if !keep_going() {
             return Ok(total_freed);
         }
-        {
+        let free_before = {
             let inner = core.inner.lock();
             if inner.segs.free_count() >= inner.cfg.effective_high_free()
                 || inner.segs.utilization() > inner.cfg.max_utilization
             {
                 return Ok(total_freed);
             }
-        }
-        match incremental_pass(core, &mut |_| !core.maint.shutdown_requested())? {
+            inner.segs.free_count()
+        };
+        match incremental_pass(core, &mut |_| keep_going())? {
             PassResult::NoGarbage => {
                 // The garbage may all sit in still-residual segments (no
                 // checkpoint since it was made), which the cleaner skips.
@@ -421,14 +424,20 @@ fn one_round(core: &StoreCore) -> Result<u64> {
                 core.publish_durable(covered);
             }
             PassResult::Abandoned => return Ok(total_freed),
-            PassResult::Freed(0) => {
-                // Victims existed but none could be freed (pinned, or
-                // re-used by the pass's own checkpoint); retrying
-                // immediately would spin. The next kick retries.
-                add(&core.stats.maintenance_gave_up, 1);
-                return Ok(total_freed);
+            PassResult::Freed(n) => {
+                total_freed += n as u64;
+                if core.inner.lock().segs.free_count() <= free_before {
+                    // The pass gained nothing: its victims could not be
+                    // freed (pinned, or re-used by the pass's own
+                    // checkpoint), or its checkpoint took as many
+                    // segments as it freed — on a small fixed-size log
+                    // the high watermark may be out of reach altogether.
+                    // Retrying immediately would spin; the next round
+                    // retries.
+                    add(&core.stats.maintenance_gave_up, 1);
+                    return Ok(total_freed);
+                }
             }
-            PassResult::Freed(n) => total_freed += n as u64,
         }
     }
 }
@@ -439,8 +448,9 @@ pub(crate) enum PassResult {
     NoGarbage,
     /// The pass completed; this many segments were freed.
     Freed(usize),
-    /// `keep_going` said stop (shutdown); the relocations already
-    /// appended are dead log tail until a later pass redoes them.
+    /// `keep_going` said stop (the thread is shutting down); the
+    /// relocations already appended are dead log tail until a later pass
+    /// redoes them.
     Abandoned,
 }
 

@@ -518,35 +518,16 @@ impl SegmentManager {
         Ok(())
     }
 
-    /// Flush the tail and hand the touched segments' file handles to the
-    /// caller for an out-of-lock sync (the group-commit leader's overlap:
-    /// appenders keep the manager while the leader syncs). The touched set
-    /// transfers with the handles — on a failed sync the caller must give
-    /// the ids back via [`SegmentManager::restore_touched`].
-    pub fn take_touched(&mut self) -> Result<Vec<(u32, Arc<dyn RandomAccessFile>)>> {
-        self.flush()?;
-        let ids: Vec<u32> = std::mem::take(&mut self.touched).into_iter().collect();
-        let mut out = Vec::with_capacity(ids.len());
-        for seg in &ids {
-            match self.file(SegmentId(*seg)) {
-                Ok(f) => out.push((*seg, f)),
-                Err(e) => {
-                    self.touched.extend(ids);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Like [`take_touched`](Self::take_touched), but instead of writing
-    /// the tail buffer in-lock, the buffer is handed back as a
-    /// [`TailFlush`] for the leader to write *and* sync outside the store
-    /// lock — the double-buffered append: a fresh tail buffer starts
-    /// filling immediately, so seal/append of commit n+1 overlaps the
-    /// write+sync of commit n. Any previously outstanding in-flight range
-    /// is written in-lock first (it may belong to a failed leader round).
-    /// On a failed sync the caller gives the ids back via
+    /// Hand the touched segments' file handles to the caller for an
+    /// out-of-lock sync (the group-commit leader's overlap: appenders keep
+    /// the manager while the leader syncs), together with the unwritten
+    /// tail buffer as a [`TailFlush`] for the leader to write *and* sync
+    /// outside the store lock — the double-buffered append: a fresh tail
+    /// buffer starts filling immediately, so seal/append of commit n+1
+    /// overlaps the write+sync of commit n. Any previously outstanding
+    /// in-flight range is written in-lock first (it may belong to a failed
+    /// leader round). The touched set transfers with the handles — on a
+    /// failed sync the caller must give the ids back via
     /// [`restore_touched`](Self::restore_touched); the manager retains the
     /// in-flight copy either way, so the bytes cannot be lost.
     #[allow(clippy::type_complexity)]

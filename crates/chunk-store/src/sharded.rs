@@ -60,6 +60,7 @@ use crate::config::{ChunkStoreConfig, SecurityMode};
 use crate::crypto_ctx::CryptoCtx;
 use crate::error::{ChunkStoreError, Result};
 use crate::ids::ChunkId;
+use crate::layout::{Cursor, Malformed};
 use crate::proof::Proven;
 use crate::recovery::RecoveryReport;
 use crate::snapshot::Snapshot;
@@ -149,25 +150,25 @@ impl RrState {
     }
 
     fn decode_body(body: &[u8]) -> Result<RrState> {
-        let mut c = Reader::new(body, "root-of-roots");
-        let rr_seq = c.u64()?;
-        let shards = c.u32()?;
-        let epoch = c.u32()?;
-        let expected_hw = c.u64()?;
-        if !(1..=64).contains(&(shards as usize)) {
-            return Err(tamper("root-of-roots: implausible shard count"));
-        }
-        let mut counters = Vec::with_capacity(shards as usize);
-        for _ in 0..shards {
-            counters.push(c.u64()?);
-        }
-        c.finish()?;
-        Ok(RrState {
-            rr_seq,
-            shards,
-            epoch,
-            expected_hw,
-            counters,
+        decode("root-of-roots", body, |c| {
+            let rr_seq = c.u64()?;
+            let shards = c.u32()?;
+            let epoch = c.u32()?;
+            let expected_hw = c.u64()?;
+            if !(1..=64).contains(&(shards as usize)) {
+                return Err(Malformed("implausible shard count".into()));
+            }
+            let mut counters = Vec::with_capacity(shards as usize);
+            for _ in 0..shards {
+                counters.push(c.u64()?);
+            }
+            Ok(RrState {
+                rr_seq,
+                shards,
+                epoch,
+                expected_hw,
+                counters,
+            })
         })
     }
 
@@ -294,53 +295,18 @@ impl OneWayCounter for ShardCounter {
 // Serialization of the reserved chunks + coordination record
 // ---------------------------------------------------------------------
 
-/// Little bounds-checked reader; malformed trusted-path structures are
-/// tamper evidence (they sit behind chunk hashes, so random corruption is
-/// caught earlier).
-struct Reader<'a> {
+/// Run a decoder over all of `bytes`. Malformed trusted-path structures
+/// are tamper evidence (they sit behind chunk hashes, so random corruption
+/// is caught earlier).
+fn decode<'a, T>(
+    what: &str,
     bytes: &'a [u8],
-    pos: usize,
-    what: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8], what: &'static str) -> Self {
-        Reader {
-            bytes,
-            pos: 0,
-            what,
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(ChunkStoreError::TamperDetected(format!(
-                "{}: truncated",
-                self.what
-            )));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(ChunkStoreError::TamperDetected(format!(
-                "{}: trailing bytes",
-                self.what
-            )));
-        }
-        Ok(())
-    }
+    body: impl FnOnce(&mut Cursor<'a>) -> std::result::Result<T, Malformed>,
+) -> Result<T> {
+    let mut c = Cursor::new(bytes);
+    body(&mut c)
+        .and_then(|out| c.finish().map(|()| out))
+        .map_err(|m| tamper(&format!("{what}: {}", m.0)))
 }
 
 /// Largest witness-ring length whose [`enc_ring`] encoding still fits in
@@ -375,14 +341,14 @@ fn enc_ring(xids: &[u64]) -> Vec<u8> {
 }
 
 fn dec_ring(bytes: &[u8]) -> Result<Vec<u64>> {
-    let mut c = Reader::new(bytes, "witness ring");
-    let n = c.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(RING_CAP * 2));
-    for _ in 0..n {
-        out.push(c.u64()?);
-    }
-    c.finish()?;
-    Ok(out)
+    decode("witness ring", bytes, |c| {
+        let n = c.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(RING_CAP * 2));
+        for _ in 0..n {
+            out.push(c.u64()?);
+        }
+        Ok(out)
+    })
 }
 
 fn enc_dir(entries: &[(u64, Vec<u64>)]) -> Vec<u8> {
@@ -399,20 +365,20 @@ fn enc_dir(entries: &[(u64, Vec<u64>)]) -> Vec<u8> {
 }
 
 fn dec_dir(bytes: &[u8]) -> Result<Vec<(u64, Vec<u64>)>> {
-    let mut c = Reader::new(bytes, "coordination directory");
-    let n = c.u32()? as usize;
-    let mut out = Vec::new();
-    for _ in 0..n {
-        let xid = c.u64()?;
-        let k = c.u32()? as usize;
-        let mut coord = Vec::with_capacity(k);
-        for _ in 0..k {
-            coord.push(c.u64()?);
+    decode("coordination directory", bytes, |c| {
+        let n = c.u32()? as usize;
+        let mut out = Vec::new();
+        for _ in 0..n {
+            let xid = c.u64()?;
+            let k = c.u32()? as usize;
+            let mut coord = Vec::with_capacity(k);
+            for _ in 0..k {
+                coord.push(c.u64()?);
+            }
+            out.push((xid, coord));
         }
-        out.push((xid, coord));
-    }
-    c.finish()?;
-    Ok(out)
+        Ok(out)
+    })
 }
 
 /// One participant's portion of a cross-shard transaction, in shard-local
@@ -445,32 +411,32 @@ fn enc_coord(xid: u64, sections: &[CoordSection]) -> Vec<u8> {
 }
 
 fn dec_coord(bytes: &[u8]) -> Result<(u64, Vec<CoordSection>)> {
-    let mut c = Reader::new(bytes, "coordination record");
-    let xid = c.u64()?;
-    let nsec = c.u32()? as usize;
-    let mut sections = Vec::with_capacity(nsec);
-    for _ in 0..nsec {
-        let shard = c.u32()?;
-        let nw = c.u32()? as usize;
-        let mut writes = Vec::with_capacity(nw);
-        for _ in 0..nw {
-            let id = c.u64()?;
-            let len = c.u32()? as usize;
-            writes.push((id, c.take(len)?.to_vec()));
+    decode("coordination record", bytes, |c| {
+        let xid = c.u64()?;
+        let nsec = c.u32()? as usize;
+        let mut sections = Vec::with_capacity(nsec);
+        for _ in 0..nsec {
+            let shard = c.u32()?;
+            let nw = c.u32()? as usize;
+            let mut writes = Vec::with_capacity(nw);
+            for _ in 0..nw {
+                let id = c.u64()?;
+                let len = c.u32()? as usize;
+                writes.push((id, c.bytes(len)?.to_vec()));
+            }
+            let nr = c.u32()? as usize;
+            let mut removes = Vec::with_capacity(nr);
+            for _ in 0..nr {
+                removes.push(c.u64()?);
+            }
+            sections.push(CoordSection {
+                shard,
+                writes,
+                removes,
+            });
         }
-        let nr = c.u32()? as usize;
-        let mut removes = Vec::with_capacity(nr);
-        for _ in 0..nr {
-            removes.push(c.u64()?);
-        }
-        sections.push(CoordSection {
-            shard,
-            writes,
-            removes,
-        });
-    }
-    c.finish()?;
-    Ok((xid, sections))
+        Ok((xid, sections))
+    })
 }
 
 // ---------------------------------------------------------------------

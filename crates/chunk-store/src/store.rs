@@ -4,8 +4,7 @@
 //! See the crate docs for the big picture. This module owns the write path:
 //!
 //! * operations (`write`, `deallocate`) stage into a [`WriteBatch`] — each
-//!   transaction gets its own, so staging takes no shared lock (the legacy
-//!   single-handle API stages into a store-owned default batch);
+//!   transaction gets its own, so staging takes no shared lock;
 //! * `commit_batch` seals the batch's chunk records *outside* the store
 //!   lock, then appends them plus a chain-authenticated commit record to the
 //!   log under a short append lock (splitting very large batches into
@@ -19,11 +18,12 @@
 //! * a *nondurable* commit only flushes and is discarded by recovery until
 //!   a later durable commit covers it;
 //! * the residual log is checkpointed when it exceeds the configured
-//!   threshold, and the cleaner runs when free space runs out while
-//!   utilization is below the configured maximum (§3.2.1).
+//!   threshold, and the cleaner runs when free segments fall below the low
+//!   watermark while utilization is below the configured maximum (§3.2.1) —
+//!   one policy (`maintenance::one_round`), driven by the maintenance
+//!   thread or, when there is none, by the committer.
 
 use crate::anchor::{AnchorState, AnchorStore};
-use crate::cleaner;
 use crate::config::{ChunkStoreConfig, SecurityMode};
 use crate::crypto_ctx::CryptoCtx;
 use crate::error::{ChunkStoreError, Result};
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use tdb_core::Durability;
 use tdb_crypto::Digest;
-use tdb_obs::{trace, watchdog, Stopwatch, TraceKind, TraceLayer};
+use tdb_obs::{trace, watchdog, Histogram, Stopwatch, TraceKind, TraceLayer};
 use tdb_platform::{OneWayCounter, SecretStore, UntrustedStore};
 
 /// Staged, uncommitted operations. `Some(bytes)` is a write, `None` a
@@ -69,6 +69,16 @@ enum SealedOp {
     Dealloc(ChunkId),
 }
 
+/// A running stopwatch for a phase-sampled operation, an inert one (laps
+/// read 0 and record nothing) otherwise.
+fn sampled_stopwatch(sampled: bool) -> Stopwatch {
+    if sampled {
+        Stopwatch::start()
+    } else {
+        Stopwatch::inert()
+    }
+}
+
 /// Accumulated phase laps for one (sampled) commit.
 struct CommitLap {
     sw: Stopwatch,
@@ -81,11 +91,7 @@ struct CommitLap {
 impl CommitLap {
     fn new(sampled: bool) -> CommitLap {
         CommitLap {
-            sw: if sampled {
-                Stopwatch::start()
-            } else {
-                Stopwatch::inert()
-            },
+            sw: sampled_stopwatch(sampled),
             ser_ns: 0,
             seal_ns: 0,
             append_ns: 0,
@@ -104,6 +110,27 @@ pub(crate) enum AnchorLane {
     Commit,
     Maintenance,
 }
+
+impl AnchorLane {
+    /// The lane's (sync, anchor, counter) phase histograms.
+    fn hists(self, stats: &Stats) -> (&Histogram, &Histogram, &Histogram) {
+        let p = &stats.phases;
+        match self {
+            AnchorLane::Commit => (&p.sync, &p.anchor, &p.counter),
+            AnchorLane::Maintenance => (&p.maint_sync, &p.maint_anchor, &p.maint_counter),
+        }
+    }
+}
+
+/// Maximum number of free chunk ids remembered across restarts in the
+/// anchor; ids beyond this leak (they are never handed out again), which
+/// only wastes map slots.
+const FREE_LIST_CAP: usize = 4096;
+
+/// Free segments kept around after a checkpoint or cleaning pass before
+/// the rest are truncated away; bounds on-disk size after bursts
+/// (Figure 11's "resulting database size").
+pub(crate) const FREE_SEGMENT_RESERVE: usize = 4;
 
 /// Everything behind the store's state mutex.
 pub(crate) struct Inner {
@@ -383,50 +410,36 @@ impl Inner {
         Ok(self.commit_seq)
     }
 
-    /// Sync the log and advance the trusted anchor (+ one-way counter).
-    /// Everything appended so far becomes durable and recoverable.
-    /// `sampled` controls phase timing (see [`StoreCore::sample_phases`]);
-    /// `lane` picks the commit vs maintenance phase histograms, so
-    /// checkpoint- and cleaner-driven rounds stop leaking into the
-    /// `commit.*` rows.
+    /// The in-lock anchor round: sync the log under the store lock, then
+    /// advance → write → settle. Everything appended so far becomes durable
+    /// and recoverable. Run by checkpoints, the cleaner's settle step, and
+    /// the empty durable barrier; the group-commit leader runs the same
+    /// three steps around an out-of-lock sync
+    /// ([`StoreCore::leader_anchor_round`]). `sampled` controls phase
+    /// timing (see [`StoreCore::sample_phases`]).
     pub(crate) fn durable_anchor(&mut self, sampled: bool, lane: AnchorLane) -> Result<()> {
-        let mut sw = if sampled {
-            Stopwatch::start()
-        } else {
-            Stopwatch::inert()
-        };
-        let stats = self.stats.clone();
-        let (sync_h, anchor_h, counter_h) = match lane {
-            AnchorLane::Commit => (
-                &stats.phases.sync,
-                &stats.phases.anchor,
-                &stats.phases.counter,
-            ),
-            AnchorLane::Maintenance => (
-                &stats.phases.maint_sync,
-                &stats.phases.maint_anchor,
-                &stats.phases.maint_counter,
-            ),
-        };
+        let mut sw = sampled_stopwatch(sampled);
         self.segs.sync_touched()?;
         // Cover a group leader's in-flight out-of-lock sync: this anchor's
         // `last_seq` spans those records too, so their segments must be on
         // disk before it is written (double-syncing is harmless).
         self.segs.sync_ids(&self.sync_inflight)?;
-        if sw.running() {
-            sync_h.record(sw.lap());
-        }
+        sw.lap_into(lane.hists(&self.stats).0);
+        let round = self.advance_anchor();
+        let written = round.write(&mut sw, lane);
+        self.settle_anchor(round, written).map(|_| ())
+    }
+
+    /// Step 1 of an anchor round, under the store lock: speculatively bump
+    /// `anchor_seq` (and `counter_value`) and capture the anchor state, so
+    /// its fields are mutually consistent. The extents superseded so far
+    /// travel with the round — they die only if its anchor gets written.
+    fn advance_anchor(&mut self) -> AnchorRound {
         let bump_counter = self.ctx.mode() == SecurityMode::Full;
         self.anchor_seq += 1;
         if bump_counter {
             self.counter_value += 1;
         }
-        let free_ids: Vec<u64> = self
-            .free_ids
-            .iter()
-            .take(self.cfg.free_list_cap)
-            .copied()
-            .collect();
         let state = AnchorState {
             anchor_seq: self.anchor_seq,
             segment_size: self.cfg.segment_size,
@@ -434,7 +447,7 @@ impl Inner {
             map_root: self.checkpointed_root.0,
             map_depth: self.checkpointed_root.1,
             next_id: self.next_id,
-            free_ids,
+            free_ids: self.free_ids.iter().take(FREE_LIST_CAP).copied().collect(),
             residual_seg: self.residual_start.0,
             residual_off: self.residual_start.1,
             base_seq: self.base_seq,
@@ -443,34 +456,35 @@ impl Inner {
             last_chain: self.chain,
             counter_value: self.counter_value,
         };
-        let io_result: Result<()> = (|| {
-            let io = self.anchor_io.clone();
-            let _io = io.lock();
-            AnchorStore::new(&*self.untrusted).write(&self.ctx, &state)?;
-            add(&self.stats.anchor_writes, 1);
-            if sw.running() {
-                anchor_h.record(sw.lap());
+        AnchorRound {
+            state,
+            bump_counter,
+            pending_dec: std::mem::take(&mut self.pending_dec),
+            ctx: self.ctx.clone(),
+            untrusted: self.untrusted.clone(),
+            counter: self.counter.clone(),
+            anchor_io: self.anchor_io.clone(),
+            stats: self.stats.clone(),
+        }
+    }
+
+    /// Step 3 of an anchor round, under the store lock. `written` is the
+    /// outcome of everything between the advance and here (data sync and
+    /// [`AnchorRound::write`]). On success the extents superseded before
+    /// the round are truly dead and the covered commit sequence is
+    /// returned. On failure the speculative advance is rolled back, so a
+    /// retried anchor cannot drift past the hardware counter (recovery
+    /// only repairs a `+1` gap; repeated failed rounds would otherwise
+    /// read as a replay attack). `anchor_seq` only rolls back if no other
+    /// round advanced it meanwhile — a skipped sequence is harmless, a
+    /// reused one is not.
+    fn settle_anchor(&mut self, round: AnchorRound, written: Result<()>) -> Result<u64> {
+        if let Err(e) = written {
+            self.pending_dec.extend(round.pending_dec);
+            if self.anchor_seq == round.state.anchor_seq {
+                self.anchor_seq -= 1;
             }
-            if bump_counter {
-                // Anchor first, then counter: a crash between the two leaves
-                // `anchor == hw + 1`, which `open` repairs by bumping the
-                // counter. The reverse order would make a crash window look
-                // like a replay attack.
-                self.counter.increment()?;
-                add(&self.stats.counter_increments, 1);
-                if sw.running() {
-                    counter_h.record(sw.lap());
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = io_result {
-            // Roll back the speculative advance: a retried anchor must not
-            // drift past the hardware counter (recovery only repairs a
-            // `+1` gap; repeated failed rounds would otherwise read as a
-            // replay attack).
-            self.anchor_seq -= 1;
-            if bump_counter {
+            if round.bump_counter {
                 self.counter_value -= 1;
             }
             return Err(e);
@@ -479,84 +493,22 @@ impl Inner {
             TraceLayer::Chunk,
             TraceKind::AnchorRound,
             0,
-            self.anchor_seq,
-            self.commit_seq,
+            round.state.anchor_seq,
+            round.state.last_seq,
         );
-        if bump_counter {
+        if round.bump_counter {
             trace::emit(
                 TraceLayer::Chunk,
                 TraceKind::CounterInc,
                 0,
-                self.counter_value,
+                round.state.counter_value,
                 0,
             );
         }
-        // Everything superseded before this anchor is now truly dead.
-        for loc in std::mem::take(&mut self.pending_dec) {
+        for loc in round.pending_dec {
             self.segs.sub_live(loc.seg, loc.len as u64);
         }
-        Ok(())
-    }
-
-    /// Snapshot everything an anchor round needs so the group-commit
-    /// leader can run the round's slow half (data-segment sync, anchor
-    /// write, counter bump) without holding the store lock. Appenders
-    /// proceed concurrently; their records land after `covered` and are
-    /// simply not covered by this anchor. Anchor-state fields are captured
-    /// here, under the lock, so they are mutually consistent.
-    fn prepare_anchor(&mut self) -> Result<PreparedAnchor> {
-        // The tail buffer is handed over unwritten: the leader writes and
-        // syncs it outside the lock while appenders fill a fresh buffer —
-        // seal/append of commit n+1 overlaps the sync of commit n.
-        let (files, tail) = self.segs.take_touched_deferred()?;
-        self.sync_inflight.extend(files.iter().map(|(s, _)| *s));
-        // Freeze the map root so the leader can rehash the dirty Merkle
-        // paths in one batched bottom-up pass outside the lock. The memos
-        // install into the shared nodes, so later proof minting (and the
-        // next freeze) finds them ready-made.
-        let frozen_root = if self.cfg.eager_proof_rehash && self.ctx.verifies_hashes() {
-            Some(self.map.freeze().0)
-        } else {
-            None
-        };
-        self.anchor_seq += 1;
-        if self.ctx.mode() == SecurityMode::Full {
-            self.counter_value += 1;
-        }
-        let free_ids: Vec<u64> = self
-            .free_ids
-            .iter()
-            .take(self.cfg.free_list_cap)
-            .copied()
-            .collect();
-        let state = AnchorState {
-            anchor_seq: self.anchor_seq,
-            segment_size: self.cfg.segment_size,
-            map_fanout: self.cfg.map_fanout as u32,
-            map_root: self.checkpointed_root.0,
-            map_depth: self.checkpointed_root.1,
-            next_id: self.next_id,
-            free_ids,
-            residual_seg: self.residual_start.0,
-            residual_off: self.residual_start.1,
-            base_seq: self.base_seq,
-            chain_base: self.chain_base,
-            last_seq: self.commit_seq,
-            last_chain: self.chain,
-            counter_value: self.counter_value,
-        };
-        Ok(PreparedAnchor {
-            state,
-            files,
-            tail,
-            frozen_root,
-            pending_dec: std::mem::take(&mut self.pending_dec),
-            untrusted: self.untrusted.clone(),
-            counter: self.counter.clone(),
-            anchor_io: self.anchor_io.clone(),
-            bump_counter: self.ctx.mode() == SecurityMode::Full,
-            covered: self.commit_seq,
-        })
+        Ok(round.state.last_seq)
     }
 
     /// Write the dirty location-map pages, advance the anchor to the new
@@ -607,7 +559,7 @@ impl Inner {
         self.residual_segments.insert(self.segs.tail_pos().0);
         self.residual_bytes = 0;
         add(&self.stats.checkpoints, 1);
-        self.segs.drop_excess_free(self.cfg.free_segment_reserve)?;
+        self.segs.drop_excess_free(FREE_SEGMENT_RESERVE)?;
         trace::emit(
             TraceLayer::Maint,
             TraceKind::CheckpointEnd,
@@ -619,63 +571,6 @@ impl Inner {
             self.stats.phases.checkpoint.record(sw.lap());
         }
         Ok(())
-    }
-
-    /// Post-durable-commit housekeeping: checkpoint when the residual log
-    /// is long; clean when free space ran out but garbage exists. The
-    /// outcome distinguishes "nothing left to reclaim" from "gave up with
-    /// the store still out of free segments" — a caller on the
-    /// out-of-space backpressure path must not read the latter as success.
-    pub(crate) fn maintain(&mut self) -> Result<MaintainOutcome> {
-        let mut out = MaintainOutcome {
-            freed: 0,
-            gave_up: false,
-        };
-        if self.residual_bytes >= self.cfg.checkpoint_threshold {
-            self.do_checkpoint()?;
-        }
-        // Clean until a free segment exists (or there is provably nothing
-        // to reclaim). A single bounded pass can free less than its own
-        // checkpoint traffic consumed on map-heavy workloads, which would
-        // grow the database without bound — so "a pass freed nothing" and
-        // "no garbage" must part ways here: the former ends the round as
-        // `gave_up`, not as success.
-        let mut passes = 0;
-        let mut forced_checkpoint = false;
-        while self.segs.free_count() <= self.cfg.maintenance_reserve()
-            && self.segs.utilization() <= self.cfg.max_utilization
-        {
-            if passes >= 16 {
-                out.gave_up = true;
-                add(&self.stats.maintenance_gave_up, 1);
-                break;
-            }
-            passes += 1;
-            match cleaner::clean_pass(self)? {
-                cleaner::CleanOutcome::NoGarbage => {
-                    // Every in-use segment may simply still be residual
-                    // (no checkpoint since the garbage was made). Under
-                    // genuine space pressure, shrink the residual set once
-                    // and retry before concluding there is no garbage.
-                    if !forced_checkpoint && self.residual_segments.len() > 1 {
-                        forced_checkpoint = true;
-                        self.do_checkpoint()?;
-                        continue;
-                    }
-                    break;
-                }
-                cleaner::CleanOutcome::Freed(0) => {
-                    // Victims existed but none could be freed (pinned by a
-                    // snapshot, or re-used by the pass's own checkpoint);
-                    // an immediate retry would pick the same victims.
-                    out.gave_up = true;
-                    add(&self.stats.maintenance_gave_up, 1);
-                    break;
-                }
-                cleaner::CleanOutcome::Freed(n) => out.freed += n,
-            }
-        }
-        Ok(out)
     }
 
     pub(crate) fn prune_snapshots(&mut self) {
@@ -697,15 +592,6 @@ impl Inner {
     }
 }
 
-/// What [`Inner::maintain`] accomplished.
-pub(crate) struct MaintainOutcome {
-    /// Segments freed by cleaning passes this round.
-    pub(crate) freed: usize,
-    /// The round ended with `free_count() == 0` even though garbage
-    /// existed (victims pinned, or the pass cap was hit).
-    pub(crate) gave_up: bool,
-}
-
 /// Entropy for the IV stream: wall-clock nanoseconds. Combined with the
 /// one-way counter so even clock rollback cannot reproduce an IV stream
 /// that encrypts *different* data (the DRBG mixes the key as well).
@@ -717,23 +603,43 @@ pub(crate) fn iv_salt(counter: &dyn OneWayCounter) -> u64 {
     nanos ^ counter.read().unwrap_or(0).rotate_left(32)
 }
 
-/// An anchor round snapshotted under the store lock, to be completed by
-/// the group-commit leader outside it (see [`Inner::prepare_anchor`]).
-struct PreparedAnchor {
+/// One anchor round between [`Inner::advance_anchor`] and
+/// [`Inner::settle_anchor`]. It owns everything the write needs, so the
+/// group-commit leader can run it without the store lock.
+struct AnchorRound {
     state: AnchorState,
-    files: Vec<(u32, Arc<dyn tdb_platform::RandomAccessFile>)>,
-    /// Unwritten tail-buffer range for the leader's out-of-lock write
-    /// (the manager keeps an in-flight copy until `finish_tail_flush`).
-    tail: Option<segment::TailFlush>,
-    /// Frozen map root for the out-of-lock batched Merkle rehash (`None`
-    /// when hashing is off or `eager_proof_rehash` is disabled).
-    frozen_root: Option<Arc<crate::map::Node>>,
+    bump_counter: bool,
     pending_dec: Vec<Location>,
+    ctx: Arc<CryptoCtx>,
     untrusted: Arc<dyn UntrustedStore>,
     counter: Arc<dyn OneWayCounter>,
     anchor_io: Arc<Mutex<()>>,
-    bump_counter: bool,
-    covered: u64,
+    stats: SharedStats,
+}
+
+impl AnchorRound {
+    /// Step 2 of an anchor round: write the anchor, then bump the one-way
+    /// counter, as one pair under the `anchor_io` leaf lock.
+    fn write(&self, sw: &mut Stopwatch, lane: AnchorLane) -> Result<()> {
+        let (_, anchor_h, counter_h) = lane.hists(&self.stats);
+        let _io = self.anchor_io.lock();
+        AnchorStore::new(&*self.untrusted).write(&self.ctx, &self.state)?;
+        add(&self.stats.anchor_writes, 1);
+        sw.lap_into(anchor_h);
+        if self.bump_counter {
+            // Anchor first, then counter: a crash between the two leaves
+            // `anchor == hw + 1`, which `open` repairs by bumping the
+            // counter. The reverse order would make a crash window look
+            // like a replay attack.
+            self.counter.increment()?;
+            add(&self.stats.counter_increments, 1);
+            // Recorded only on the success path of an actual increment —
+            // an error (or a round that never bumps) must not pollute the
+            // histogram with ~0 samples.
+            sw.lap_into(counter_h);
+        }
+        Ok(())
+    }
 }
 
 /// Group-commit coordinator state (guarded by [`StoreCore::group`]).
@@ -770,7 +676,7 @@ pub(crate) struct StoreCore {
     group_cv: Condvar,
     /// Handshake with the background maintenance thread (kick, stall,
     /// shutdown). Present even with `background_maintenance` off — the
-    /// thread is simply never spawned and commits maintain inline.
+    /// thread is simply never spawned and committers drive the rounds.
     pub(crate) maint: MaintShared,
     /// Frozen map root awaiting a batched Merkle memo pass, handed to the
     /// maintenance thread by the group-commit leader. Only the latest
@@ -861,11 +767,7 @@ impl StoreCore {
         durable: bool,
     ) -> Result<CommitTicket> {
         let sampled = self.sample_phases();
-        let total = if sampled {
-            Stopwatch::start()
-        } else {
-            Stopwatch::inert()
-        };
+        let total = sampled_stopwatch(sampled);
         if ops.is_empty() {
             return Ok(CommitTicket {
                 seq: 0,
@@ -950,8 +852,8 @@ impl StoreCore {
             return Ok(());
         }
         if empty {
-            // Legacy semantics: an empty durable commit still forces a
-            // sync/anchor/counter round (callers use it as a barrier).
+            // An empty durable commit still forces a sync/anchor/counter
+            // round: callers use it as a barrier.
             let covered = {
                 let mut inner = self.inner.lock();
                 inner.durable_anchor(sampled, AnchorLane::Commit)?;
@@ -959,27 +861,17 @@ impl StoreCore {
             };
             self.publish_durable(covered);
             self.after_commit_maintenance()?;
-            if total.running() {
-                self.stats.phases.commit_total.record(total.lap());
-            }
-            return Ok(());
+        } else {
+            self.wait_durable_seq(seq, sampled)?;
         }
-        self.wait_durable_seq(seq, sampled)?;
-        if total.running() {
-            self.stats.phases.commit_total.record(total.lap());
-        }
+        total.lap_into(&self.stats.phases.commit_total);
         Ok(())
     }
 
     /// Block until an anchor covers `my_seq`, leading the anchor round if
     /// no leader is active. See [`GroupState`] for the protocol.
     fn wait_durable_seq(&self, my_seq: u64, sampled: bool) -> Result<()> {
-        let obs_on = tdb_obs::enabled();
-        let mut wait_sw = if obs_on {
-            Stopwatch::start()
-        } else {
-            Stopwatch::inert()
-        };
+        let mut wait_sw = Stopwatch::start();
         // Lock-free fast path: a concurrent leader that locked the store
         // after our append has already anchored past us.
         if self.durable_seq.load(Ordering::Acquire) >= my_seq {
@@ -1060,11 +952,9 @@ impl StoreCore {
                     covered,
                     group_size,
                 );
-                if obs_on {
+                if wait_sw.running() {
                     self.stats.phases.group_size.record(group_size.max(1));
-                    if wait_sw.running() {
-                        self.stats.phases.group_wait.record(wait_sw.lap());
-                    }
+                    self.stats.phases.group_wait.record(wait_sw.lap());
                 }
                 // Housekeeping (checkpoint / cleaner) runs outside the
                 // group window so followers wake at durability, not after
@@ -1090,61 +980,46 @@ impl StoreCore {
         }
     }
 
-    /// One overlapped anchor round: snapshot under the store lock, then
+    /// One overlapped anchor round: advance under the store lock, then
     /// sync the data segments and write the anchor *outside* it, so
     /// concurrent committers keep appending — and pile into the next
-    /// group — while this round's sync is in flight. Rounds are serialized
-    /// by `leader_active`; the in-lock anchor paths coexist via
-    /// `Inner::sync_inflight` and the `anchor_io` leaf lock.
+    /// group — while this round's sync is in flight; their records land
+    /// after the round's `last_seq` and are simply not covered by it.
+    /// Rounds are serialized by `leader_active`; the in-lock rounds
+    /// ([`Inner::durable_anchor`]) coexist via `Inner::sync_inflight` and
+    /// the `anchor_io` leaf lock.
     fn leader_anchor_round(&self, sampled: bool) -> Result<u64> {
-        let mut sw = if sampled {
-            Stopwatch::start()
-        } else {
-            Stopwatch::inert()
-        };
-        let prep = {
+        let mut sw = sampled_stopwatch(sampled);
+        let (round, files, tail, frozen_root) = {
             let mut inner = self.inner.lock();
-            inner.prepare_anchor()
-        }?;
-        // Deferred tail write, then sync — both outside the store lock, so
-        // concurrent committers seal and append into the fresh tail buffer
-        // while this round's bytes travel to disk. If an in-lock flush got
-        // there first it wrote the identical bytes at the same offset;
-        // repeating the write is harmless.
+            // The tail buffer is handed over unwritten: the leader writes
+            // and syncs it outside the lock while appenders fill a fresh
+            // buffer — seal/append of commit n+1 overlaps the sync of
+            // commit n.
+            let (files, tail) = inner.segs.take_touched_deferred()?;
+            inner.sync_inflight.extend(files.iter().map(|(s, _)| *s));
+            // Freeze the map root so the dirty Merkle paths can be
+            // rehashed in one batched bottom-up pass outside the lock. The
+            // memos install into the shared nodes, so later proof minting
+            // (and the next freeze) finds them ready-made.
+            let frozen_root = self.ctx.verifies_hashes().then(|| inner.map.freeze().0);
+            (inner.advance_anchor(), files, tail, frozen_root)
+        };
+        // Deferred tail write, then sync — both outside the store lock. If
+        // an in-lock flush got there first it wrote the identical bytes at
+        // the same offset; repeating the write is harmless.
         let synced: Result<()> = (|| {
-            if let Some(tf) = &prep.tail {
+            if let Some(tf) = &tail {
                 tf.file.write_at(tf.start as u64, &tf.bytes)?;
             }
-            prep.files.iter().try_for_each(|(_, f)| {
+            files.iter().try_for_each(|(_, f)| {
                 f.sync()?;
                 add(&self.stats.syncs, 1);
                 Ok(())
             })
         })();
-        if sw.running() {
-            self.stats.phases.sync.record(sw.lap());
-        }
-        if let Err(e) = synced {
-            let mut inner = self.inner.lock();
-            inner
-                .segs
-                .restore_touched(prep.files.iter().map(|(s, _)| *s));
-            for (s, _) in &prep.files {
-                inner.sync_inflight.remove(s);
-            }
-            // The manager still holds the in-flight tail copy; the next
-            // in-lock flush rewrites it, so the bytes cannot be lost.
-            inner.pending_dec.extend(prep.pending_dec);
-            // Same speculative-advance rollback as the anchor-io failure
-            // path below: the prepared anchor was never written.
-            if inner.anchor_seq == prep.state.anchor_seq {
-                inner.anchor_seq -= 1;
-            }
-            if prep.bump_counter {
-                inner.counter_value -= 1;
-            }
-            return Err(e);
-        }
+        sw.lap_into(&self.stats.phases.sync);
+        let sync_ok = synced.is_ok();
         // Batched Merkle recomputation for the whole group: one bottom-up
         // pass over the dirty root-to-leaf paths (shared upper nodes are
         // hashed once), multi-lane SHA-256 within each level. With the
@@ -1158,89 +1033,34 @@ impl StoreCore {
         // (the memo pass is cache-warming — correctness never depends on
         // it). Inline (against the frozen root, while followers keep
         // appending) only when there is no thread.
-        if let Some(root) = &prep.frozen_root {
+        if let Some(root) = frozen_root.filter(|_| sync_ok) {
             if self.maint.thread_running() {
-                if crate::maintenance::rehash_overlap_pays() {
-                    let was_empty = self.rehash_pending.lock().replace(root.clone()).is_none();
+                if maintenance::rehash_overlap_pays() {
+                    let was_empty = self.rehash_pending.lock().replace(root).is_none();
                     if was_empty {
                         self.maint.kick_rehash();
                     }
                 }
             } else {
-                crate::map::rehash_root_batched(root);
-                if sw.running() {
-                    self.stats.phases.rehash.record(sw.lap());
-                }
+                crate::map::rehash_root_batched(&root);
+                sw.lap_into(&self.stats.phases.rehash);
             }
         }
-        let io_result: Result<()> = (|| {
-            let _io = prep.anchor_io.lock();
-            AnchorStore::new(&*prep.untrusted).write(&self.ctx, &prep.state)?;
-            add(&self.stats.anchor_writes, 1);
-            if sw.running() {
-                self.stats.phases.anchor.record(sw.lap());
-            }
-            if prep.bump_counter {
-                prep.counter.increment()?;
-                add(&self.stats.counter_increments, 1);
-                // Counter laps are recorded only here, on the success path
-                // of an actual increment — an error (or a round that never
-                // bumps) must not pollute the histogram with ~0 samples.
-                if sw.running() {
-                    self.stats.phases.counter.record(sw.lap());
-                }
-            }
-            Ok(())
-        })();
+        let written = synced.and_then(|()| round.write(&mut sw, AnchorLane::Commit));
         let mut inner = self.inner.lock();
-        // The tail bytes are written and synced regardless of how the
-        // anchor io went: the manager's in-flight copy can be dropped.
-        if let Some(tf) = &prep.tail {
-            inner.segs.finish_tail_flush(tf);
-        }
-        for (s, _) in &prep.files {
+        for (s, _) in &files {
             inner.sync_inflight.remove(s);
         }
-        match io_result {
-            Ok(()) => {
-                trace::emit(
-                    TraceLayer::Chunk,
-                    TraceKind::AnchorRound,
-                    0,
-                    prep.state.anchor_seq,
-                    prep.covered,
-                );
-                if prep.bump_counter {
-                    trace::emit(
-                        TraceLayer::Chunk,
-                        TraceKind::CounterInc,
-                        0,
-                        prep.state.counter_value,
-                        0,
-                    );
-                }
-                // Everything superseded before this anchor is now truly
-                // dead (mirrors the tail of `Inner::durable_anchor`).
-                for loc in prep.pending_dec {
-                    inner.segs.sub_live(loc.seg, loc.len as u64);
-                }
-                Ok(prep.covered)
-            }
-            Err(e) => {
-                inner.pending_dec.extend(prep.pending_dec);
-                // Undo the prepared round's speculative advance so retries
-                // cannot drift past the hardware counter. `anchor_seq`
-                // only rolls back if no in-lock anchor ran meanwhile —
-                // a skipped sequence is harmless, a reused one is not.
-                if inner.anchor_seq == prep.state.anchor_seq {
-                    inner.anchor_seq -= 1;
-                }
-                if prep.bump_counter {
-                    inner.counter_value -= 1;
-                }
-                Err(e)
-            }
+        if !sync_ok {
+            // The manager still holds the in-flight tail copy; the next
+            // in-lock flush rewrites it, so the bytes cannot be lost.
+            inner.segs.restore_touched(files.iter().map(|(s, _)| *s));
+        } else if let Some(tf) = &tail {
+            // The tail bytes are written and synced regardless of how the
+            // anchor io went: the manager's in-flight copy can be dropped.
+            inner.segs.finish_tail_flush(tf);
         }
+        inner.settle_anchor(round, written)
     }
 
     /// Point-in-time health summary for diagnostic dumps. Never blocks:
@@ -1285,29 +1105,26 @@ impl StoreCore {
         out
     }
 
-    /// Post-commit housekeeping. With the maintenance thread running, the
-    /// committer pays a watermark check and (at most) a kick — the
-    /// checkpoint and cleaning happen off the commit path. Otherwise the
-    /// legacy inline behavior: this committer maintains under the lock.
+    /// Post-commit housekeeping: a watermark check, then one maintenance
+    /// round if it says so — kicked to the maintenance thread when there is
+    /// one (the checkpoint and cleaning happen off the commit path), run by
+    /// this committer otherwise.
     fn after_commit_maintenance(&self) -> Result<()> {
-        if self.maint.thread_running() {
-            let need = {
-                let inner = self.inner.lock();
-                inner.residual_bytes >= inner.cfg.checkpoint_threshold
-                    || (inner.segs.free_count() < inner.cfg.effective_low_free()
-                        && inner.segs.utilization() <= inner.cfg.max_utilization)
-            };
-            if need {
-                self.maint.kick();
-            }
+        let need = {
+            let inner = self.inner.lock();
+            inner.residual_bytes >= inner.cfg.checkpoint_threshold
+                || (inner.segs.free_count() < inner.cfg.effective_low_free()
+                    && inner.segs.utilization() <= inner.cfg.max_utilization)
+        };
+        if !need || self.maint.observe_and_kick().thread_running {
             return Ok(());
         }
-        self.inner.lock().maintain().map(|_| ())
+        maintenance::one_round(self, &|| true).map(|_| ())
     }
 
     /// Commit-path backpressure: the append ran out of segments. Kick the
     /// maintenance thread and block for its progress — or, with no thread,
-    /// maintain inline — and say whether the caller should retry. `false`
+    /// run the round here — and say whether the caller should retry. `false`
     /// means maintenance completed without yielding a free segment: a true
     /// out-of-space condition, not a pacing artifact.
     ///
@@ -1323,11 +1140,7 @@ impl StoreCore {
     fn stall_for_space(&self) -> Result<bool> {
         add(&self.stats.maintenance_stalls, 1);
         let _op = tdb_obs::watchdog::op_begin(tdb_obs::watchdog::OpKind::Stall, 0);
-        let mut sw = if tdb_obs::enabled() {
-            Stopwatch::start()
-        } else {
-            Stopwatch::inert()
-        };
+        let mut sw = Stopwatch::start();
         trace::emit(
             TraceLayer::Chunk,
             TraceKind::StallEnter,
@@ -1342,10 +1155,10 @@ impl StoreCore {
         let mut idle_waits = 0u32;
         let retry = loop {
             if !seen.thread_running {
-                // No thread: this committer maintains inline.
-                let mut inner = self.inner.lock();
-                let out = inner.maintain()?;
-                break out.freed > 0 || inner.segs.free_count() > inner.cfg.maintenance_reserve();
+                // No thread: this committer drives the round.
+                let freed = maintenance::one_round(self, &|| true)?;
+                let inner = self.inner.lock();
+                break freed > 0 || inner.segs.free_count() > inner.cfg.maintenance_reserve();
             }
             // Check for space strictly *after* the epoch snapshot above:
             // any free or round completion since then advances an epoch,
@@ -1426,11 +1239,14 @@ impl StoreCore {
     }
 }
 
-/// A per-transaction staging area (paper Fig. 2's operations, scoped to
-/// one committer). Writes and deallocations stage here without taking the
-/// store-wide lock; [`ChunkStore::commit_batch`] applies them atomically.
-/// Dropping an uncommitted batch discards its staged operations and
-/// returns its allocated ids to the free pool.
+/// A per-transaction staging area, and the home of the paper's Fig. 2
+/// chunk-store operations: `allocateChunkId`, `write`, `read` and
+/// `deallocate` are the methods below, `commit(durable)` is
+/// [`ChunkStore::commit_batch`], and dropping the batch is the abort.
+/// Writes and deallocations stage here without touching other batches;
+/// the commit applies them atomically. Dropping an uncommitted batch
+/// discards its staged operations and returns its allocated ids to the
+/// free pool.
 pub struct WriteBatch {
     core: Arc<StoreCore>,
     staged: Batch,
@@ -1444,8 +1260,8 @@ impl WriteBatch {
         Ok(self.core.inner.lock().allocate_into(&mut self.staged))
     }
 
-    /// Stage a write of `cid`'s state. Takes effect when the batch commits.
-    /// Signals if `cid` is not allocated.
+    /// Stage a write of `cid`'s state (paper Fig. 2: `write`). Takes
+    /// effect when the batch commits. Signals if `cid` is not allocated.
     pub fn write(&mut self, cid: ChunkId, bytes: &[u8]) -> Result<()> {
         self.core
             .inner
@@ -1453,12 +1269,15 @@ impl WriteBatch {
             .stage_write(&mut self.staged, cid, bytes)
     }
 
-    /// Stage a deallocation of `cid`. Takes effect when the batch commits.
+    /// Stage a deallocation of `cid` (paper Fig. 2: `deallocate`). Takes
+    /// effect when the batch commits.
     pub fn deallocate(&mut self, cid: ChunkId) -> Result<()> {
         self.core.inner.lock().stage_dealloc(&mut self.staged, cid)
     }
 
-    /// Read through this batch: staged writes win over committed state.
+    /// Return the last written state of `cid` (paper Fig. 2: `read`):
+    /// this batch's staged writes win over committed state. Signals if the
+    /// chunk is unallocated, unwritten, or tampered with.
     pub fn read(&self, cid: ChunkId) -> Result<Vec<u8>> {
         self.core.inner.lock().read_with(&self.staged, cid)
     }
@@ -1512,12 +1331,9 @@ impl CommitTicket {
 /// Concurrency: any number of [`WriteBatch`] handles may stage
 /// independently; commits serialize only on the short log-tail append,
 /// and concurrent durable commits share sync/anchor/counter rounds via
-/// the group-commit coordinator. The inherent `write`/`commit`/… methods
-/// are the legacy single-handle API over a store-owned default batch.
+/// the group-commit coordinator.
 pub struct ChunkStore {
     core: Arc<StoreCore>,
-    /// Staging area for the legacy single-handle API.
-    default_batch: Mutex<Batch>,
     /// The background maintenance thread, when `background_maintenance`
     /// is configured. Joined by [`ChunkStore::close`] (and drop).
     maint_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -1555,7 +1371,7 @@ impl ChunkStore {
         }
         let maint_thread = if background {
             // Marked running before the spawn so a commit racing store
-            // construction kicks the thread instead of maintaining inline.
+            // construction kicks the thread instead of driving a round.
             core.maint.set_thread_running();
             let thread_core = core.clone();
             Some(
@@ -1569,7 +1385,6 @@ impl ChunkStore {
         };
         ChunkStore {
             core,
-            default_batch: Mutex::new(Batch::default()),
             maint_thread: Mutex::new(maint_thread),
         }
     }
@@ -1688,12 +1503,6 @@ impl ChunkStore {
         self.wait_durable(ticket)
     }
 
-    /// Deprecated boolean form of [`ChunkStore::commit_batch`].
-    #[deprecated(note = "pass `Durability::{Durable, Lazy}` to `commit_batch` instead")]
-    pub fn commit_batch_bool(&self, batch: WriteBatch, durable: bool) -> Result<()> {
-        self.commit_batch(batch, Durability::from(durable))
-    }
-
     /// First half of [`ChunkStore::commit_batch`]: seal and append the
     /// batch's commit record(s) to the log — the commit point — and
     /// return a ticket. Callers that must order other work (e.g. 2PL lock
@@ -1707,7 +1516,7 @@ impl ChunkStore {
         let ops = std::mem::take(&mut batch.staged.ops);
         // Allocations become permanent at commit (even a failed append may
         // have committed earlier record groups, so ids never return to the
-        // free pool here — exactly the legacy single-batch behavior).
+        // free pool here).
         batch.staged.allocated.clear();
         self.core.append_ops(ops, durability.is_durable())
     }
@@ -1719,76 +1528,17 @@ impl ChunkStore {
         self.core.wait_ticket(ticket)
     }
 
-    // ---- legacy single-handle API (store-owned default batch) --------
-
-    /// Allocate an unused chunk id (paper Fig. 2: `allocateChunkId`).
-    pub fn allocate_chunk_id(&self) -> Result<ChunkId> {
-        let mut staged = self.default_batch.lock();
-        Ok(self.core.inner.lock().allocate_into(&mut staged))
-    }
-
-    /// Stage a write of `cid`'s state. Takes effect at the next commit.
-    /// Signals if `cid` is not allocated.
-    pub fn write(&self, cid: ChunkId, bytes: &[u8]) -> Result<()> {
-        let mut staged = self.default_batch.lock();
-        self.core.inner.lock().stage_write(&mut staged, cid, bytes)
-    }
-
-    /// Return the last written state of `cid` (staged writes included).
+    /// Return the last *committed* state of `cid` (operations staged in a
+    /// [`WriteBatch`] are visible only through [`WriteBatch::read`]).
     /// Signals if the chunk is unallocated, unwritten, or tampered with.
     pub fn read(&self, cid: ChunkId) -> Result<Vec<u8>> {
-        let staged = self.default_batch.lock();
-        self.core.inner.lock().read_with(&staged, cid)
-    }
-
-    /// Stage a deallocation of `cid`. Takes effect at the next commit.
-    pub fn deallocate(&self, cid: ChunkId) -> Result<()> {
-        let mut staged = self.default_batch.lock();
-        self.core.inner.lock().stage_dealloc(&mut staged, cid)
-    }
-
-    /// Atomically apply all operations staged through the single-handle
-    /// API. See the module docs for the durable/nondurable distinction.
-    pub fn commit(&self, durability: Durability) -> Result<()> {
-        let ops = {
-            let mut staged = self.default_batch.lock();
-            staged.allocated.clear();
-            std::mem::take(&mut staged.ops)
-        };
-        let ticket = self.core.append_ops(ops, durability.is_durable())?;
-        self.core.wait_ticket(ticket)
-    }
-
-    /// Deprecated boolean form of [`ChunkStore::commit`].
-    #[deprecated(note = "pass `Durability::{Durable, Lazy}` to `commit` instead")]
-    pub fn commit_bool(&self, durable: bool) -> Result<()> {
-        self.commit(Durability::from(durable))
-    }
-
-    /// Drop all staged single-handle operations and return batch-allocated
-    /// ids to the free pool.
-    pub fn discard(&self) {
-        let mut staged = self.default_batch.lock();
-        self.core.inner.lock().free_batch(&mut staged);
+        self.core.inner.lock().read_with(&Batch::default(), cid)
     }
 
     /// Force a checkpoint of the location map (normally automatic; exposed
     /// for idle-time maintenance as the paper suggests deferring
     /// reorganization to idle periods).
     pub fn checkpoint(&self) -> Result<()> {
-        let ops = {
-            let mut staged = self.default_batch.lock();
-            if staged.ops.is_empty() {
-                BTreeMap::new()
-            } else {
-                staged.allocated.clear();
-                std::mem::take(&mut staged.ops)
-            }
-        };
-        if !ops.is_empty() {
-            let ticket = self.core.append_ops(ops, false)?;
-            self.core.wait_ticket(ticket)?;
-        }
         let covered = {
             let mut inner = self.core.inner.lock();
             inner.do_checkpoint()?;
@@ -1800,19 +1550,16 @@ impl ChunkStore {
 
     /// Run one cleaner pass (normally automatic). Returns segments freed.
     /// Runs the same incremental slice protocol as the maintenance
-    /// thread; if a background pass is already in flight this returns 0
-    /// rather than racing it for the victims.
+    /// rounds; if another pass is already in flight this returns 0 rather
+    /// than racing it for the victims.
     pub fn clean(&self) -> Result<usize> {
-        match maintenance::incremental_pass(&self.core, &mut |_| true)? {
-            PassResult::Freed(n) => Ok(n),
-            PassResult::NoGarbage | PassResult::Abandoned => Ok(0),
-        }
+        self.clean_incremental_with(&mut |_| ())
     }
 
-    /// Drive one incremental cleaning pass, calling `between` with the
-    /// store *unlocked* before every relocation slice after the first —
-    /// a test hook for the mid-pass snapshot/commit interleavings the
-    /// background thread produces nondeterministically.
+    /// [`ChunkStore::clean`], calling `between` with the store *unlocked*
+    /// before every relocation slice after the first — a test hook for
+    /// the mid-pass snapshot/commit interleavings the background thread
+    /// produces nondeterministically.
     #[doc(hidden)]
     pub fn clean_incremental_with(&self, between: &mut dyn FnMut(usize)) -> Result<usize> {
         let mut hook = |slice: usize| {
@@ -1831,8 +1578,8 @@ impl ChunkStore {
     /// running: an in-flight cleaning pass is abandoned at the next slice
     /// boundary (safe — only the closing checkpoint anchors a pass, so an
     /// abandoned slice is dead log tail for recovery and for the next
-    /// pass). The store remains usable; maintenance falls back inline.
-    /// Called automatically when the store is dropped.
+    /// pass). The store remains usable; committers drive the maintenance
+    /// rounds from then on. Called automatically when the store is dropped.
     pub fn close(&self) {
         self.core.maint.request_shutdown();
         if let Some(handle) = self.maint_thread.lock().take() {
@@ -1882,8 +1629,7 @@ impl ChunkStore {
     }
 
     /// Read a chunk's last *committed* state plus the store's commit
-    /// sequence at the time of the read (staged single-handle operations
-    /// are ignored). The sequence is an upper bound on the commit that
+    /// sequence at the time of the read. The sequence is an upper bound on the commit that
     /// produced the returned bytes — the contract snapshot readers use to
     /// decide whether a cached object version is visible at their
     /// snapshot: a version stamped `v` is visible at any snapshot with
@@ -2059,11 +1805,13 @@ impl ChunkStore {
         self.core.inner.lock().cfg.security
     }
 
-    /// Whether `cid` is currently allocated (committed or staged through
-    /// the single-handle API).
+    /// Whether `cid` is currently allocated (committed, or handed out to
+    /// a live [`WriteBatch`]).
     pub fn is_allocated(&self, cid: ChunkId) -> bool {
-        let staged = self.default_batch.lock();
-        self.core.inner.lock().is_allocated_with(&staged, cid)
+        self.core
+            .inner
+            .lock()
+            .is_allocated_with(&Batch::default(), cid)
     }
 
     /// Largest chunk this configuration accepts.
@@ -2096,15 +1844,11 @@ impl ChunkStore {
 
     /// Return ids that were allocated but never written back to the free
     /// pool (used by the object store when a transaction that inserted
-    /// objects aborts). Ids with committed or staged state are ignored.
+    /// objects aborts). Ids with committed state are ignored.
     pub fn release_unwritten_ids(&self, ids: &[ChunkId]) {
-        let staged = self.default_batch.lock();
         let mut inner = self.core.inner.lock();
         for id in ids {
-            if id.0 < inner.next_id
-                && inner.map.get(*id).is_none()
-                && !staged.ops.contains_key(&id.0)
-            {
+            if id.0 < inner.next_id && inner.map.get(*id).is_none() {
                 inner.free_ids.insert(id.0);
             }
         }
@@ -2115,11 +1859,10 @@ impl ChunkStore {
     /// `create`). Ids below the restored high-water mark that are absent
     /// from the image become free.
     pub fn restore_image(&self, chunks: Vec<(ChunkId, Vec<u8>)>) -> Result<()> {
-        let staged = self.default_batch.lock();
         let mut ops: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
         {
             let mut inner = self.core.inner.lock();
-            if inner.map.live_count() != 0 || !staged.ops.is_empty() {
+            if inner.map.live_count() != 0 {
                 return Err(ChunkStoreError::ConfigMismatch(
                     "restore_image requires an empty store".into(),
                 ));
@@ -2131,7 +1874,6 @@ impl ChunkStore {
                 inner.free_ids = (0..=max_id).filter(|i| !present.contains(i)).collect();
             }
         }
-        drop(staged);
         for (id, data) in chunks {
             ops.insert(id.0, Some(data));
         }
@@ -2166,15 +1908,9 @@ impl ChunkStore {
         writes: Vec<(ChunkId, Vec<u8>)>,
         removes: Vec<ChunkId>,
     ) -> Result<()> {
-        let staged = self.default_batch.lock();
         let mut ops: BTreeMap<u64, Option<Vec<u8>>> = BTreeMap::new();
         {
             let mut inner = self.core.inner.lock();
-            if !staged.ops.is_empty() {
-                return Err(ChunkStoreError::ConfigMismatch(
-                    "apply_restore_delta with operations staged".into(),
-                ));
-            }
             for (id, _) in &writes {
                 if id.0 >= inner.next_id {
                     for gap in inner.next_id..id.0 {
@@ -2185,7 +1921,6 @@ impl ChunkStore {
                 inner.free_ids.remove(&id.0);
             }
         }
-        drop(staged);
         for (id, data) in writes {
             ops.insert(id.0, Some(data));
         }

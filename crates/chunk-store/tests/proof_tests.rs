@@ -33,9 +33,10 @@ fn proven_reads_verify_inclusion_and_absence() {
     let store = create(&mem, &counter);
     let verifier = Verifier::new(store.trust_anchor().unwrap());
 
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"license: 3 plays left").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"license: 3 plays left").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // Inclusion: value comes back with a proof the verifier accepts.
     let proven = store.read_proven(id).unwrap();
@@ -77,22 +78,25 @@ fn proofs_stay_valid_under_overwrites_and_cleaning() {
     let store = create(&mem, &counter);
     let verifier = Verifier::new(store.trust_anchor().unwrap());
 
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"pinned value").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"pinned value").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // Pin the read, then churn the store hard enough to force cleaning
     // passes that relocate live records (and the map pages above them).
     let proven = store.read_proven(id).unwrap();
-    let churn = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let churn = batch.allocate_chunk_id().unwrap();
     for round in 0..40 {
-        store.write(churn, &vec![round as u8; 900]).unwrap();
-        store.commit(Durability::Lazy).unwrap();
+        batch.write(churn, &vec![round as u8; 900]).unwrap();
+        store.commit_batch(batch, Durability::Lazy).unwrap();
+        batch = store.begin_batch();
     }
     store.checkpoint().unwrap();
     store.clean().unwrap();
-    store.write(id, b"a newer value").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    batch.write(id, b"a newer value").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // The deferred proof still speaks about the pinned snapshot.
     let proof = proven.prove().unwrap();
@@ -117,9 +121,10 @@ fn tampered_and_replayed_proofs_are_rejected() {
     let store = create(&mem, &counter);
     let anchor = store.trust_anchor().unwrap();
 
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"tamper target").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"tamper target").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     let proven = store.read_proven(id).unwrap();
     let proof = proven.prove().unwrap();
@@ -170,9 +175,10 @@ fn security_off_refuses_proofs_with_a_usage_error() {
         c,
     )
     .unwrap();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"plain").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"plain").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     assert!(matches!(
         store.read_proven(id),

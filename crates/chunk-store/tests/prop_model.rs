@@ -7,7 +7,7 @@
 //! durable commit before checking the model agreement.
 
 use chunk_store::Durability;
-use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, SecurityMode};
+use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, SecurityMode, WriteBatch};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,11 +78,25 @@ impl Model {
         }
         v
     }
+
+    fn commit_staged(&mut self) {
+        for (id, op) in self.staged.drain() {
+            match op {
+                Some(data) => {
+                    self.committed.insert(id, data);
+                }
+                None => {
+                    self.committed.remove(&id);
+                }
+            }
+        }
+    }
 }
 
-fn check_agreement(store: &ChunkStore, model: &Model, ctx: &str) {
+fn check_agreement(store: &ChunkStore, batch: &WriteBatch, model: &Model, ctx: &str) {
     for (id, data) in model.visible() {
-        let got = store
+        // Through the batch: staged operations win over committed state.
+        let got = batch
             .read(ChunkId(id))
             .unwrap_or_else(|e| panic!("{ctx}: chunk {id} unreadable: {e}"));
         assert_eq!(got, data, "{ctx}: chunk {id} content mismatch");
@@ -112,6 +126,7 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
         cfg.clone(),
     )
     .unwrap();
+    let mut batch = store.begin_batch();
     let mut model = Model::default();
     let mut seed = 0u64;
 
@@ -120,9 +135,9 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
         let ctx = format!("step {step} ({op:?})");
         match op {
             Op::Insert { len } => {
-                let id = store.allocate_chunk_id().unwrap();
+                let id = batch.allocate_chunk_id().unwrap();
                 let data = content(seed, len);
-                store.write(id, &data).unwrap();
+                batch.write(id, &data).unwrap();
                 model.staged.insert(id.as_u64(), Some(data));
             }
             Op::Update { pick, len } => {
@@ -134,7 +149,7 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
                 keys.sort_unstable();
                 let id = keys[pick % keys.len()];
                 let data = content(seed, len);
-                store.write(ChunkId(id), &data).unwrap();
+                batch.write(ChunkId(id), &data).unwrap();
                 model.staged.insert(id, Some(data));
             }
             Op::Remove { pick } => {
@@ -145,58 +160,33 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
                 let mut keys: Vec<u64> = visible.keys().copied().collect();
                 keys.sort_unstable();
                 let id = keys[pick % keys.len()];
-                store.deallocate(ChunkId(id)).unwrap();
+                batch.deallocate(ChunkId(id)).unwrap();
                 model.staged.insert(id, None);
             }
             Op::Commit { durable } => {
-                store.commit(Durability::from(durable)).unwrap();
-                for (id, op) in model.staged.drain() {
-                    match op {
-                        Some(data) => {
-                            model.committed.insert(id, data);
-                        }
-                        None => {
-                            model.committed.remove(&id);
-                        }
-                    }
-                }
+                let staged = std::mem::replace(&mut batch, store.begin_batch());
+                store
+                    .commit_batch(staged, Durability::from(durable))
+                    .unwrap();
+                model.commit_staged();
                 if durable {
                     model.durable = model.committed.clone();
                 }
             }
             Op::Discard => {
-                store.discard();
+                std::mem::replace(&mut batch, store.begin_batch()).discard();
                 model.staged.clear();
             }
             Op::Checkpoint => {
-                // checkpoint() flushes the batch as a nondurable commit and
-                // then anchors everything (making it durable).
+                // checkpoint() anchors everything committed so far (making
+                // it durable); staged operations stay staged.
                 store.checkpoint().unwrap();
-                for (id, op) in model.staged.drain() {
-                    match op {
-                        Some(data) => {
-                            model.committed.insert(id, data);
-                        }
-                        None => {
-                            model.committed.remove(&id);
-                        }
-                    }
-                }
                 model.durable = model.committed.clone();
             }
             Op::Reopen => {
                 // Make the state durable first so reopen is lossless.
-                store.commit(Durability::Durable).unwrap();
-                for (id, op) in model.staged.drain() {
-                    match op {
-                        Some(data) => {
-                            model.committed.insert(id, data);
-                        }
-                        None => {
-                            model.committed.remove(&id);
-                        }
-                    }
-                }
+                store.commit_batch(batch, Durability::Durable).unwrap();
+                model.commit_staged();
                 model.durable = model.committed.clone();
                 drop(store);
                 store = ChunkStore::open(
@@ -206,10 +196,12 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
                     cfg.clone(),
                 )
                 .unwrap();
+                batch = store.begin_batch();
             }
             Op::CrashReopen => {
                 // No graceful shutdown: staged batch and all commits since
                 // the last durable one must vanish.
+                drop(batch);
                 drop(store);
                 store = ChunkStore::open(
                     Arc::new(mem.clone()),
@@ -218,28 +210,20 @@ fn run_scenario(ops: Vec<Op>, security: SecurityMode) {
                     cfg.clone(),
                 )
                 .unwrap();
+                batch = store.begin_batch();
                 model.staged.clear();
                 model.committed = model.durable.clone();
             }
         }
-        check_agreement(&store, &model, &ctx);
+        check_agreement(&store, &batch, &model, &ctx);
     }
 
     // Final durable shutdown must round-trip everything.
-    store.commit(Durability::Durable).unwrap();
-    for (id, op) in model.staged.drain() {
-        match op {
-            Some(data) => {
-                model.committed.insert(id, data);
-            }
-            None => {
-                model.committed.remove(&id);
-            }
-        }
-    }
+    store.commit_batch(batch, Durability::Durable).unwrap();
+    model.commit_staged();
     drop(store);
     let store = ChunkStore::open(Arc::new(mem), &secret, Arc::new(counter), cfg).unwrap();
-    check_agreement(&store, &model, "final reopen");
+    check_agreement(&store, &store.begin_batch(), &model, "final reopen");
 }
 
 proptest! {

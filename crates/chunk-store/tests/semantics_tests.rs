@@ -57,18 +57,21 @@ impl Fx {
 fn nondurable_versions_survive_cleaning_pressure() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     let store = fx.create();
-    let a = store.allocate_chunk_id().unwrap();
-    store.write(a, b"version A (durable)").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = batch.allocate_chunk_id().unwrap();
+    batch.write(a, b"version A (durable)").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // Nondurable overwrite, then heavy traffic + explicit cleaning that
     // would love to reclaim A's extent.
-    store.write(a, b"version A' (nondurable)").unwrap();
-    store.commit(Durability::Lazy).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"version A' (nondurable)").unwrap();
+    store.commit_batch(batch, Durability::Lazy).unwrap();
     for i in 0..50u32 {
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &i.to_le_bytes().repeat(30)).unwrap();
-        store.commit(Durability::Lazy).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &i.to_le_bytes().repeat(30)).unwrap();
+        store.commit_batch(batch, Durability::Lazy).unwrap();
     }
     store.clean().unwrap();
 
@@ -86,11 +89,13 @@ fn nondurable_versions_survive_cleaning_pressure() {
 fn nondurable_overwrite_crash_recovers_old_version() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     let store = fx.create();
-    let a = store.allocate_chunk_id().unwrap();
-    store.write(a, b"version A (durable)").unwrap();
-    store.commit(Durability::Durable).unwrap();
-    store.write(a, b"version A' (nondurable)").unwrap();
-    store.commit(Durability::Lazy).unwrap();
+    let mut batch = store.begin_batch();
+    let a = batch.allocate_chunk_id().unwrap();
+    batch.write(a, b"version A (durable)").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"version A' (nondurable)").unwrap();
+    store.commit_batch(batch, Durability::Lazy).unwrap();
     drop(store);
     let store = fx.open();
     assert_eq!(store.read(a).unwrap(), b"version A (durable)");
@@ -101,41 +106,45 @@ fn chunk_size_limit_enforced_and_boundary_works() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     let store = fx.create();
     let max = store.max_chunk_size();
-    let id = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
     // Exactly max: fine.
-    store.write(id, &vec![7u8; max]).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    batch.write(id, &vec![7u8; max]).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert_eq!(store.read(id).unwrap().len(), max);
     // One over: clean error.
+    let mut batch = store.begin_batch();
     assert!(matches!(
-        store.write(id, &vec![7u8; max + 1]),
+        batch.write(id, &vec![7u8; max + 1]),
         Err(ChunkStoreError::ChunkTooLarge { .. })
     ));
     // Zero-length chunks are legal.
-    let z = store.allocate_chunk_id().unwrap();
-    store.write(z, b"").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let z = batch.allocate_chunk_id().unwrap();
+    batch.write(z, b"").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert_eq!(store.read(z).unwrap(), b"");
 }
 
 #[test]
 fn free_list_cap_leaks_ids_but_stays_correct() {
-    let mut cfg = ChunkStoreConfig::small_for_tests();
-    cfg.free_list_cap = 4; // tiny cap: most freed ids leak across restart
-    let fx = Fx::new(cfg);
+    // The anchor remembers at most 4096 free ids; freeing more than that
+    // leaks the excess across a restart.
+    const CAP: u64 = 4096;
+    const N: u64 = CAP + 20;
+    let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     {
         let store = fx.create();
-        let ids: Vec<ChunkId> = (0..20)
-            .map(|_| store.allocate_chunk_id().unwrap())
-            .collect();
+        let mut batch = store.begin_batch();
+        let ids: Vec<ChunkId> = (0..N).map(|_| batch.allocate_chunk_id().unwrap()).collect();
         for id in &ids {
-            store.write(*id, b"x").unwrap();
+            batch.write(*id, b"x").unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
         for id in &ids {
-            store.deallocate(*id).unwrap();
+            batch.deallocate(*id).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         // The cap applies to the *anchored* free list; without a
         // checkpoint the deallocations would simply be replayed from the
         // residual log and nothing would leak.
@@ -144,27 +153,32 @@ fn free_list_cap_leaks_ids_but_stays_correct() {
     let store = fx.open();
     // At most `cap` freed ids were remembered; the rest leak (documented).
     let mut reused = 0;
-    for _ in 0..20 {
-        let id = store.allocate_chunk_id().unwrap();
-        if id.0 < 20 {
+    let mut batch = store.begin_batch();
+    for _ in 0..N {
+        let id = batch.allocate_chunk_id().unwrap();
+        if id.0 < N {
             reused += 1;
         }
-        store.write(id, b"y").unwrap();
+        batch.write(id, b"y").unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
-    assert!(reused <= 4, "cap violated: {reused}");
-    assert!(store.live_chunks() == 20);
+    store.commit_batch(batch, Durability::Durable).unwrap();
+    assert!(reused <= CAP, "cap violated: {reused}");
+    assert!(store.live_chunks() == N);
 }
 
 #[test]
 fn empty_durable_commit_still_advances_anchor() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"v1").unwrap();
-    store.commit(Durability::Lazy).unwrap(); // nondurable only
-                                             // An empty durable commit must persist the earlier nondurable one.
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"v1").unwrap();
+    store.commit_batch(batch, Durability::Lazy).unwrap(); // nondurable only
+
+    // An empty durable commit must persist the earlier nondurable one.
+    store
+        .commit_batch(store.begin_batch(), Durability::Durable)
+        .unwrap();
     drop(store);
     let store = fx.open();
     assert_eq!(store.read(id).unwrap(), b"v1");
@@ -174,25 +188,29 @@ fn empty_durable_commit_still_advances_anchor() {
 fn snapshot_diff_across_checkpoint_and_cleaning() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     let store = fx.create();
+    let mut batch = store.begin_batch();
     let ids: Vec<ChunkId> = (0..10)
-        .map(|_| store.allocate_chunk_id().unwrap())
+        .map(|_| batch.allocate_chunk_id().unwrap())
         .collect();
     for id in &ids {
-        store.write(*id, b"base").unwrap();
+        batch.write(*id, b"base").unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let before = store.snapshot();
 
-    store.write(ids[3], b"changed").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(ids[3], b"changed").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     store.checkpoint().unwrap();
     // Churn + clean: relocations must not show up as spurious diffs.
     for round in 0..100u32 {
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &round.to_le_bytes().repeat(20)).unwrap();
-        store.commit(Durability::Durable).unwrap();
-        store.deallocate(id).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &round.to_le_bytes().repeat(20)).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        batch.deallocate(id).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     store.clean().unwrap();
     let after = store.snapshot();
@@ -215,9 +233,10 @@ fn reopen_in_wrong_mode_rejected_without_damage() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     {
         let store = fx.create();
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, b"precious").unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, b"precious").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let mut off = ChunkStoreConfig::small_for_tests();
     off.security = chunk_store::SecurityMode::Off;
@@ -268,19 +287,23 @@ fn many_reopen_cycles_accumulate_no_damage() {
     let fx = Fx::new(ChunkStoreConfig::small_for_tests());
     {
         let store = fx.create();
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, 0u64.to_le_bytes().as_slice()).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, 0u64.to_le_bytes().as_slice()).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     for cycle in 1..=30u64 {
         let store = fx.open();
         let prev = u64::from_le_bytes(store.read(ChunkId(0)).unwrap().try_into().unwrap());
         assert_eq!(prev, cycle - 1, "cycle {cycle}");
-        store
+        let mut batch = store.begin_batch();
+        batch
             .write(ChunkId(0), cycle.to_le_bytes().as_slice())
             .unwrap();
         // Alternate durability modes and maintenance across cycles.
-        store.commit(Durability::from(cycle % 2 == 0)).unwrap();
+        store
+            .commit_batch(batch, Durability::from(cycle % 2 == 0))
+            .unwrap();
         if cycle % 2 == 1 {
             // Nondurable would be lost on crash; make it durable via an
             // explicit checkpoint half the time to exercise both paths.
@@ -314,17 +337,19 @@ fn nondurable_commit_never_syncs_durable_commit_does() {
     .unwrap();
 
     let baseline = plan.sync_count();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"not worth a platter rotation").unwrap();
-    store.commit(Durability::Lazy).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"not worth a platter rotation").unwrap();
+    store.commit_batch(batch, Durability::Lazy).unwrap();
     assert_eq!(
         plan.sync_count(),
         baseline,
         "nondurable commit must not sync"
     );
 
-    store.write(id, b"worth acknowledging durably").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(id, b"worth acknowledging durably").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert!(
         plan.sync_count() > baseline,
         "durable commit must sync before acking"
@@ -342,14 +367,17 @@ fn recovery_report_counts_replayed_and_discarded_commits() {
             store.recovery_report().is_none(),
             "fresh store ran no recovery"
         );
-        let id = store.allocate_chunk_id().unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
         for v in 0..3u32 {
-            store.write(id, &v.to_le_bytes()).unwrap();
-            store.commit(Durability::Durable).unwrap();
+            batch.write(id, &v.to_le_bytes()).unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
+            batch = store.begin_batch();
         }
         for v in 3..7u32 {
-            store.write(id, &v.to_le_bytes()).unwrap();
-            store.commit(Durability::Lazy).unwrap();
+            batch.write(id, &v.to_le_bytes()).unwrap();
+            store.commit_batch(batch, Durability::Lazy).unwrap();
+            batch = store.begin_batch();
         }
         id
     };

@@ -63,17 +63,19 @@ impl Fixture {
 fn write_read_roundtrip_within_session() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"meter: 1").unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"meter: 1").unwrap();
     // Read-your-writes before commit.
-    assert_eq!(store.read(id).unwrap(), b"meter: 1");
-    store.commit(Durability::Durable).unwrap();
+    assert_eq!(batch.read(id).unwrap(), b"meter: 1");
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert_eq!(store.read(id).unwrap(), b"meter: 1");
     // Overwrite with different size.
-    store
+    let mut batch = store.begin_batch();
+    batch
         .write(id, b"a much longer meter state than before")
         .unwrap();
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert_eq!(
         store.read(id).unwrap(),
         b"a much longer meter state than before"
@@ -85,11 +87,12 @@ fn state_survives_reopen() {
     let fx = Fixture::new();
     {
         let store = fx.create();
+        let mut batch = store.begin_batch();
         for i in 0..50u8 {
-            let id = store.allocate_chunk_id().unwrap();
-            store.write(id, &[i; 33]).unwrap();
+            let id = batch.allocate_chunk_id().unwrap();
+            batch.write(id, &[i; 33]).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let store = fx.open().unwrap();
     for i in 0..50u64 {
@@ -106,19 +109,21 @@ fn reopen_after_checkpoint_and_more_commits() {
     let fx = Fixture::new();
     {
         let store = fx.create();
+        let mut batch = store.begin_batch();
         let ids: Vec<_> = (0..20)
-            .map(|_| store.allocate_chunk_id().unwrap())
+            .map(|_| batch.allocate_chunk_id().unwrap())
             .collect();
         for (i, id) in ids.iter().enumerate() {
-            store.write(*id, format!("v1-{i}").as_bytes()).unwrap();
+            batch.write(*id, format!("v1-{i}").as_bytes()).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         store.checkpoint().unwrap();
         // Post-checkpoint updates live only in the residual log.
+        let mut batch = store.begin_batch();
         for (i, id) in ids.iter().enumerate().take(10) {
-            store.write(*id, format!("v2-{i}").as_bytes()).unwrap();
+            batch.write(*id, format!("v2-{i}").as_bytes()).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let store = fx.open().unwrap();
     for i in 0..10u64 {
@@ -144,17 +149,18 @@ fn unallocated_and_unwritten_errors() {
         store.read(bogus),
         Err(ChunkStoreError::NotAllocated(_))
     ));
+    let mut batch = store.begin_batch();
     assert!(matches!(
-        store.write(bogus, b"x"),
+        batch.write(bogus, b"x"),
         Err(ChunkStoreError::NotAllocated(_))
     ));
     assert!(matches!(
-        store.deallocate(bogus),
+        batch.deallocate(bogus),
         Err(ChunkStoreError::NotAllocated(_))
     ));
 
-    let id = store.allocate_chunk_id().unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let id = batch.allocate_chunk_id().unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert!(matches!(
         store.read(id),
         Err(ChunkStoreError::NotWritten(_))
@@ -165,17 +171,20 @@ fn unallocated_and_unwritten_errors() {
 fn deallocate_frees_and_reuses_ids() {
     let fx = Fixture::new();
     let store = fx.create();
-    let a = store.allocate_chunk_id().unwrap();
-    store.write(a, b"gone soon").unwrap();
-    store.commit(Durability::Durable).unwrap();
-    store.deallocate(a).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = batch.allocate_chunk_id().unwrap();
+    batch.write(a, b"gone soon").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.deallocate(a).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     assert!(matches!(
         store.read(a),
         Err(ChunkStoreError::NotAllocated(_))
     ));
     // The freed id is reused.
-    let b = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let b = batch.allocate_chunk_id().unwrap();
     assert_eq!(a, b);
 }
 
@@ -184,16 +193,19 @@ fn free_ids_survive_reopen() {
     let fx = Fixture::new();
     {
         let store = fx.create();
-        let a = store.allocate_chunk_id().unwrap();
-        let b = store.allocate_chunk_id().unwrap();
-        store.write(a, b"a").unwrap();
-        store.write(b, b"b").unwrap();
-        store.commit(Durability::Durable).unwrap();
-        store.deallocate(a).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let a = batch.allocate_chunk_id().unwrap();
+        let b = batch.allocate_chunk_id().unwrap();
+        batch.write(a, b"a").unwrap();
+        batch.write(b, b"b").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        batch.deallocate(a).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let store = fx.open().unwrap();
-    let c = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let c = batch.allocate_chunk_id().unwrap();
     assert_eq!(c.as_u64(), 0, "freed id 0 should be reused after reopen");
 }
 
@@ -201,42 +213,47 @@ fn free_ids_survive_reopen() {
 fn discard_rolls_back_batch() {
     let fx = Fixture::new();
     let store = fx.create();
-    let a = store.allocate_chunk_id().unwrap();
-    store.write(a, b"committed").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let a = batch.allocate_chunk_id().unwrap();
+    batch.write(a, b"committed").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
-    store.write(a, b"staged").unwrap();
-    let b = store.allocate_chunk_id().unwrap();
-    store.write(b, b"staged-new").unwrap();
-    store.discard();
+    let mut batch = store.begin_batch();
+    batch.write(a, b"staged").unwrap();
+    let b = batch.allocate_chunk_id().unwrap();
+    batch.write(b, b"staged-new").unwrap();
+    batch.discard();
     assert_eq!(store.read(a).unwrap(), b"committed");
     assert!(matches!(
         store.read(b),
         Err(ChunkStoreError::NotAllocated(_))
     ));
     // b's id returned to the free pool.
-    assert_eq!(store.allocate_chunk_id().unwrap(), b);
+    let mut batch = store.begin_batch();
+    assert_eq!(batch.allocate_chunk_id().unwrap(), b);
 }
 
 #[test]
 fn atomic_batch_commit() {
     let fx = Fixture::new();
     let store = fx.create();
+    let mut batch = store.begin_batch();
     let ids: Vec<_> = (0..10)
-        .map(|_| store.allocate_chunk_id().unwrap())
+        .map(|_| batch.allocate_chunk_id().unwrap())
         .collect();
     for id in &ids {
-        store.write(*id, b"batch").unwrap();
+        batch.write(*id, b"batch").unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     // Batch larger than max-ops-per-commit still commits atomically.
+    let mut batch = store.begin_batch();
     let many: Vec<_> = (0..500)
-        .map(|_| store.allocate_chunk_id().unwrap())
+        .map(|_| batch.allocate_chunk_id().unwrap())
         .collect();
     for id in &many {
-        store.write(*id, &[1u8; 40]).unwrap();
+        batch.write(*id, &[1u8; 40]).unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     for id in many {
         assert_eq!(store.read(id).unwrap(), vec![1u8; 40]);
     }
@@ -279,18 +296,20 @@ fn crash_mid_commit_loses_nothing_durable() {
         let (recovered, _) = crash_and_recover(
             budget,
             |store| {
+                let mut batch = store.begin_batch();
                 for i in 0..10u8 {
-                    let id = store.allocate_chunk_id().unwrap();
-                    store.write(id, &[i; 20]).unwrap();
+                    let id = batch.allocate_chunk_id().unwrap();
+                    batch.write(id, &[i; 20]).unwrap();
                 }
-                store.commit(Durability::Durable).unwrap();
+                store.commit_batch(batch, Durability::Durable).unwrap();
             },
             |store| {
                 // This durable commit crashes partway.
+                let mut batch = store.begin_batch();
                 for i in 0..10u64 {
-                    store.write(chunk_store::ChunkId(i), &[0xEE; 20]).unwrap();
+                    batch.write(chunk_store::ChunkId(i), &[0xEE; 20]).unwrap();
                 }
-                let _ = store.commit(Durability::Durable);
+                let _ = store.commit_batch(batch, Durability::Durable);
             },
         );
         // Either the whole update survived or none of it; the old state is
@@ -317,15 +336,17 @@ fn nondurable_commit_never_survives_crash() {
     let (recovered, _) = crash_and_recover(
         u64::MAX,
         |store| {
-            let id = store.allocate_chunk_id().unwrap();
-            store.write(id, b"durable state").unwrap();
-            store.commit(Durability::Durable).unwrap();
+            let mut batch = store.begin_batch();
+            let id = batch.allocate_chunk_id().unwrap();
+            batch.write(id, b"durable state").unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
         },
         |store| {
-            store
+            let mut batch = store.begin_batch();
+            batch
                 .write(chunk_store::ChunkId(0), b"nondurable update")
                 .unwrap();
-            store.commit(Durability::Lazy).unwrap();
+            store.commit_batch(batch, Durability::Lazy).unwrap();
             // Crash without a durable commit: the nondurable one must die,
             // even though its bytes were fully written.
         },
@@ -341,14 +362,17 @@ fn durable_commit_persists_prior_nondurable_commits() {
     let fx = Fixture::new();
     {
         let store = fx.create();
-        let a = store.allocate_chunk_id().unwrap();
-        store.write(a, b"v1").unwrap();
-        store.commit(Durability::Lazy).unwrap();
-        store.write(a, b"v2").unwrap();
-        store.commit(Durability::Lazy).unwrap();
-        let b = store.allocate_chunk_id().unwrap();
-        store.write(b, b"w").unwrap();
-        store.commit(Durability::Durable).unwrap(); // makes v2 + w durable
+        let mut batch = store.begin_batch();
+        let a = batch.allocate_chunk_id().unwrap();
+        batch.write(a, b"v1").unwrap();
+        store.commit_batch(batch, Durability::Lazy).unwrap();
+        let mut batch = store.begin_batch();
+        batch.write(a, b"v2").unwrap();
+        store.commit_batch(batch, Durability::Lazy).unwrap();
+        let mut batch = store.begin_batch();
+        let b = batch.allocate_chunk_id().unwrap();
+        batch.write(b, b"w").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap(); // makes v2 + w durable
     }
     let store = fx.open().unwrap();
     assert_eq!(store.read(chunk_store::ChunkId(0)).unwrap(), b"v2");
@@ -369,11 +393,12 @@ fn crash_during_checkpoint_recovers() {
             cfg(),
         )
         .unwrap();
+        let mut batch = store.begin_batch();
         for i in 0..30u8 {
-            let id = store.allocate_chunk_id().unwrap();
-            store.write(id, &[i; 25]).unwrap();
+            let id = batch.allocate_chunk_id().unwrap();
+            batch.write(id, &[i; 25]).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
         plan.rearm(budget);
         let _ = store.checkpoint();
         drop(store);
@@ -397,9 +422,10 @@ fn crash_during_checkpoint_recovers() {
 fn bit_flip_in_chunk_data_is_detected_on_read() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, &[0x55; 200]).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, &[0x55; 200]).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // Flip bits throughout segment 0; at least the chunk read must fail.
     let raw = fx.mem.raw("seg.000000").unwrap();
@@ -421,9 +447,10 @@ fn tampered_residual_log_is_detected_at_open() {
     let fx = Fixture::new();
     {
         let store = fx.create();
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, b"pay-per-view count: 10").unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, b"pay-per-view count: 10").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     // Corrupt the log tail (where the commit record lives).
     let raw = fx.mem.raw("seg.000000").unwrap();
@@ -442,9 +469,10 @@ fn tampered_anchor_is_detected() {
     let fx = Fixture::new();
     {
         let store = fx.create();
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, b"x").unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, b"x").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     fx.mem.corrupt("anchor.a", 30, 2).unwrap();
     fx.mem.corrupt("anchor.b", 30, 2).unwrap();
@@ -458,16 +486,18 @@ fn tampered_anchor_is_detected() {
 fn whole_database_replay_is_detected() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"balance: $100").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"balance: $100").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // Consumer saves a copy of the database...
     let saved = fx.mem.deep_clone();
 
     // ...spends money...
-    store.write(id, b"balance: $0").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(id, b"balance: $0").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     drop(store);
 
     // ...and replays the saved copy to get the balance back.
@@ -497,13 +527,15 @@ fn replay_succeeds_if_counter_is_also_rolled_back() {
         cfg(),
     )
     .unwrap();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"balance: $100").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"balance: $100").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let saved = mem.deep_clone();
     let counter_at_save = counter.read().unwrap();
-    store.write(id, b"balance: $0").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(id, b"balance: $0").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     drop(store);
 
     mem.restore_from(&saved);
@@ -517,9 +549,10 @@ fn wrong_secret_cannot_open() {
     let fx = Fixture::new();
     {
         let store = fx.create();
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, b"secret data").unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, b"secret data").unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let result = ChunkStore::open(
         Arc::new(fx.mem.clone()),
@@ -534,10 +567,11 @@ fn wrong_secret_cannot_open() {
 fn ciphertext_reveals_nothing() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
     let plaintext = b"TOP-SECRET-CONTENT-KEY-0123456789";
-    store.write(id, plaintext).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    batch.write(id, plaintext).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     store.checkpoint().unwrap();
     for name in fx.mem.list().unwrap() {
         let raw = fx.mem.raw(&name).unwrap();
@@ -559,9 +593,10 @@ fn security_off_stores_plaintext_and_skips_counter() {
     let mut c = cfg();
     c.security = SecurityMode::Off;
     let store = fx.create_with(c);
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"VISIBLE-PLAINTEXT").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"VISIBLE-PLAINTEXT").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let raw = fx.mem.raw("seg.000000").unwrap();
     assert!(raw.windows(17).any(|w| w == b"VISIBLE-PLAINTEXT"));
     assert_eq!(
@@ -599,20 +634,22 @@ fn mode_mismatch_is_rejected() {
 fn heavy_overwrite_traffic_is_cleaned_and_bounded() {
     let fx = Fixture::new();
     let store = fx.create();
+    let mut batch = store.begin_batch();
     let ids: Vec<_> = (0..16)
-        .map(|_| store.allocate_chunk_id().unwrap())
+        .map(|_| batch.allocate_chunk_id().unwrap())
         .collect();
     for id in &ids {
-        store.write(*id, &[0u8; 100]).unwrap();
+        batch.write(*id, &[0u8; 100]).unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     // 400 rounds of overwrites: ~6.4 MB of writes through 4 KiB segments.
     for round in 0..400u32 {
+        let mut batch = store.begin_batch();
         for id in &ids {
-            store.write(*id, &round.to_le_bytes().repeat(25)).unwrap();
+            batch.write(*id, &round.to_le_bytes().repeat(25)).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let stats = store.stats();
     assert!(stats.cleaner_passes > 0, "cleaner never ran");
@@ -637,14 +674,16 @@ fn database_survives_reopen_after_heavy_cleaning() {
     let fx = Fixture::new();
     {
         let store = fx.create();
+        let mut batch = store.begin_batch();
         let ids: Vec<_> = (0..16)
-            .map(|_| store.allocate_chunk_id().unwrap())
+            .map(|_| batch.allocate_chunk_id().unwrap())
             .collect();
         for round in 0..200u32 {
             for id in &ids {
-                store.write(*id, &round.to_le_bytes().repeat(30)).unwrap();
+                batch.write(*id, &round.to_le_bytes().repeat(30)).unwrap();
             }
-            store.commit(Durability::Durable).unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
+            batch = store.begin_batch();
         }
     }
     let store = fx.open().unwrap();
@@ -663,16 +702,19 @@ fn higher_max_utilization_gives_smaller_database() {
         let fx = Fixture::new();
         let mut c = cfg();
         c.max_utilization = util;
-        c.free_segment_reserve = 1;
         let store = fx.create_with(c);
-        let ids: Vec<_> = (0..32)
-            .map(|_| store.allocate_chunk_id().unwrap())
+        let mut batch = store.begin_batch();
+        // ~32 KiB of live data: enough segments that the handful of free
+        // ones the store keeps in reserve do not decide the comparison.
+        let ids: Vec<_> = (0..64)
+            .map(|_| batch.allocate_chunk_id().unwrap())
             .collect();
-        for round in 0..150u32 {
+        for round in 0..60u32 {
             for id in &ids {
-                store.write(*id, &round.to_le_bytes().repeat(25)).unwrap();
+                batch.write(*id, &round.to_le_bytes().repeat(125)).unwrap();
             }
-            store.commit(Durability::Durable).unwrap();
+            store.commit_batch(batch, Durability::Durable).unwrap();
+            batch = store.begin_batch();
         }
         store.checkpoint().unwrap();
         sizes.push(store.disk_size());
@@ -693,22 +735,16 @@ fn out_of_space_when_growth_disabled() {
     c.initial_segments = 3;
     let store = fx.create_with(c);
     let mut result = Ok(());
-    for i in 0..2000u32 {
-        let id = match store.allocate_chunk_id() {
-            Ok(id) => id,
-            Err(e) => {
-                result = Err(e);
-                break;
-            }
-        };
-        if let Err(e) = store
+    for _ in 0..2000u32 {
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        if let Err(e) = batch
             .write(id, &[1u8; 64])
-            .and_then(|_| store.commit(Durability::Durable))
+            .and_then(|_| store.commit_batch(batch, Durability::Durable))
         {
             result = Err(e);
             break;
         }
-        let _ = i;
     }
     assert!(matches!(result, Err(ChunkStoreError::OutOfSpace { .. })));
 }
@@ -721,13 +757,15 @@ fn out_of_space_when_growth_disabled() {
 fn snapshot_isolation_and_reads() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"version 1").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"version 1").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     let snap = store.snapshot();
-    store.write(id, b"version 2").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(id, b"version 2").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
 
     assert_eq!(store.read(id).unwrap(), b"version 2");
     assert_eq!(store.read_at_snapshot(&snap, id).unwrap(), b"version 1");
@@ -737,19 +775,21 @@ fn snapshot_isolation_and_reads() {
 fn snapshot_survives_cleaning() {
     let fx = Fixture::new();
     let store = fx.create();
-    let ids: Vec<_> = (0..8).map(|_| store.allocate_chunk_id().unwrap()).collect();
+    let mut batch = store.begin_batch();
+    let ids: Vec<_> = (0..8).map(|_| batch.allocate_chunk_id().unwrap()).collect();
     for id in &ids {
-        store.write(*id, b"snapshotted-v0").unwrap();
+        batch.write(*id, b"snapshotted-v0").unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let snap = store.snapshot();
 
     // Churn enough to force cleaning.
     for round in 0..300u32 {
+        let mut batch = store.begin_batch();
         for id in &ids {
-            store.write(*id, &round.to_le_bytes().repeat(20)).unwrap();
+            batch.write(*id, &round.to_le_bytes().repeat(20)).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     assert!(store.stats().cleaner_passes > 0);
     for id in &ids {
@@ -762,10 +802,11 @@ fn snapshot_survives_cleaning() {
     // Dropping the snapshot releases the pin; later cleaning reclaims.
     drop(snap);
     for round in 0..100u32 {
+        let mut batch = store.begin_batch();
         for id in &ids {
-            store.write(*id, &round.to_le_bytes().repeat(20)).unwrap();
+            batch.write(*id, &round.to_le_bytes().repeat(20)).unwrap();
         }
-        store.commit(Durability::Durable).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     assert!(store.disk_size() < 60 * 4096);
 }
@@ -774,23 +815,26 @@ fn snapshot_survives_cleaning() {
 fn snapshot_diff_lists_changes() {
     let fx = Fixture::new();
     let store = fx.create();
-    let ids: Vec<_> = (0..6).map(|_| store.allocate_chunk_id().unwrap()).collect();
+    let mut batch = store.begin_batch();
+    let ids: Vec<_> = (0..6).map(|_| batch.allocate_chunk_id().unwrap()).collect();
     for id in &ids {
-        store.write(*id, b"base").unwrap();
+        batch.write(*id, b"base").unwrap();
     }
-    store.commit(Durability::Durable).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let before = store.snapshot();
 
-    store.write(ids[1], b"changed").unwrap();
-    store.deallocate(ids[4]).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    batch.write(ids[1], b"changed").unwrap();
+    batch.deallocate(ids[4]).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     // Deallocation takes effect at commit; the freed id is now reusable.
-    let new_id = store.allocate_chunk_id().unwrap();
+    let mut batch = store.begin_batch();
+    let new_id = batch.allocate_chunk_id().unwrap();
     assert_eq!(new_id, ids[4], "dealloc'd id reused after commit");
-    store.write(new_id, b"recreated").unwrap();
-    let fresh = store.allocate_chunk_id().unwrap();
-    store.write(fresh, b"brand new").unwrap();
-    store.commit(Durability::Durable).unwrap();
+    batch.write(new_id, b"recreated").unwrap();
+    let fresh = batch.allocate_chunk_id().unwrap();
+    batch.write(fresh, b"brand new").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let after = store.snapshot();
 
     let diff = store.diff_snapshots(&before, &after);
@@ -823,9 +867,10 @@ fn stats_track_write_amplification_sources() {
     let fx = Fixture::new();
     let store = fx.create();
     let before = store.stats();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, &[7u8; 100]).unwrap();
-    store.commit(Durability::Durable).unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, &[7u8; 100]).unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
     let after = store.stats();
     let delta = after.since(&before);
     assert_eq!(delta.commits, 1);
@@ -841,11 +886,12 @@ fn stats_track_write_amplification_sources() {
 fn nondurable_commits_do_not_sync_or_touch_counter() {
     let fx = Fixture::new();
     let store = fx.create();
-    let id = store.allocate_chunk_id().unwrap();
-    store.write(id, b"x").unwrap();
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    batch.write(id, b"x").unwrap();
     let before = store.stats();
     let counter_before = fx.counter.read().unwrap();
-    store.commit(Durability::Lazy).unwrap();
+    store.commit_batch(batch, Durability::Lazy).unwrap();
     let delta = store.stats().since(&before);
     assert_eq!(delta.syncs, 0, "nondurable commit must not sync");
     assert_eq!(delta.anchor_writes, 0);
@@ -857,9 +903,10 @@ fn utilization_reported_in_unit_range() {
     let fx = Fixture::new();
     let store = fx.create();
     for _ in 0..50 {
-        let id = store.allocate_chunk_id().unwrap();
-        store.write(id, &[1u8; 80]).unwrap();
-        store.commit(Durability::Durable).unwrap();
+        let mut batch = store.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &[1u8; 80]).unwrap();
+        store.commit_batch(batch, Durability::Durable).unwrap();
     }
     let u = store.utilization();
     assert!(u > 0.0 && u <= 1.0, "utilization {u}");

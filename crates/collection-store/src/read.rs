@@ -2,7 +2,7 @@
 //! [`CollectionStore::begin_read`](crate::CollectionStore::begin_read)).
 //!
 //! A [`ReadCTransaction`] wraps an object-store
-//! [`ReadTransaction`](object_store::ReadTransaction): every lookup and
+//! [`ReadTransaction`]: every lookup and
 //! scan runs against the pinned snapshot, takes **no** 2PL locks, and is
 //! *stable by construction* — the snapshot is immutable, so iteration over
 //! query results cannot observe concurrent commits, index splits, or log

@@ -396,13 +396,6 @@ impl Transaction {
         result.map_err(Into::into)
     }
 
-    /// Deprecated bool-flavoured commit; use
-    /// [`commit`](Transaction::commit) with a [`Durability`].
-    #[deprecated(note = "use commit(Durability::{Durable, Lazy}) instead")]
-    pub fn commit_bool(self, durable: bool) -> Result<()> {
-        self.commit(Durability::from(durable))
-    }
-
     /// Undo all changes made during the transaction (paper Fig. 3:
     /// `abort`). "The object store evicts all objects opened for writing
     /// from the cache, deallocates the chunk ids corresponding to the

@@ -13,7 +13,7 @@
 //!   (or an id beyond the attested tree's capacity), and for indexes a
 //!   [`KeyedProof`] bracketing the missing key between adjacent leaves;
 //! * **sharded splicing**: the shard-local root is accepted only through
-//!   a root-of-roots [`EpochRecord`] whose hardware counter is fresh and
+//!   a root-of-roots [`EpochRecord`](crate::EpochRecord) whose hardware counter is fresh and
 //!   whose virtual counter vector covers the shard attestation.
 //!
 //! Every failure is classified: forged or inconsistent bytes are

@@ -4,9 +4,8 @@
 //! one next to a downloaded value, a support engineer attaches one to a
 //! ticket, `tdb-doctor verify-proof` checks one offline. This module
 //! defines a small, versioned, little-endian binary encoding for
-//! [`ChunkProof`], [`KeyedProof`], and [`TrustAnchor`], plus a minimal
-//! JSON *dump* format (hex blobs under fixed keys) so dumps remain
-//! greppable and diffable without a JSON dependency.
+//! [`ChunkProof`], [`KeyedProof`], and [`TrustAnchor`], plus the hex codec
+//! that text dumps of those encodings use.
 //!
 //! Decoding is strict: unknown tags, truncated input, implausible lengths,
 //! and trailing bytes are all [`WireError`]s — a dump that decodes is
@@ -449,7 +448,7 @@ pub fn decode_keyed_proof(bytes: &[u8]) -> Result<KeyedProof, WireError> {
     })
 }
 
-// ---- hex + JSON dumps ------------------------------------------------
+// ---- hex -------------------------------------------------------------
 
 /// Lowercase hex of `bytes`.
 pub fn to_hex(bytes: &[u8]) -> String {
@@ -470,75 +469,6 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>, WireError> {
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| err("invalid hex digit")))
         .collect()
-}
-
-/// Serialize a proof + anchor (+ plaintext value for inclusion proofs)
-/// into the offline dump checked by `tdb-doctor verify-proof`.
-pub fn dump_json(proof: &ChunkProof, anchor: &TrustAnchor, value: Option<&[u8]>) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"v\": 1,\n");
-    s.push_str(&format!(
-        "  \"proof\": \"{}\",\n",
-        to_hex(&encode_chunk_proof(proof))
-    ));
-    s.push_str(&format!(
-        "  \"anchor\": \"{}\",\n",
-        to_hex(&encode_trust_anchor(anchor))
-    ));
-    s.push_str(&format!(
-        "  \"value\": \"{}\"\n",
-        to_hex(value.unwrap_or(&[]))
-    ));
-    s.push('}');
-    s
-}
-
-/// A parsed proof dump.
-pub struct ProofDump {
-    /// The chunk proof.
-    pub proof: ChunkProof,
-    /// The verifier's trust anchor.
-    pub anchor: TrustAnchor,
-    /// The plaintext value (`None` for non-membership dumps).
-    pub value: Option<Vec<u8>>,
-}
-
-/// Minimal extraction of the dump's fixed keys — tolerant of whitespace
-/// and key order, intolerant of anything structurally surprising.
-fn json_str_field(doc: &str, key: &str) -> Result<String, WireError> {
-    let needle = format!("\"{key}\"");
-    let at = doc
-        .find(&needle)
-        .ok_or_else(|| err(format!("dump missing \"{key}\"")))?;
-    let rest = &doc[at + needle.len()..];
-    let rest = rest.trim_start();
-    let rest = rest
-        .strip_prefix(':')
-        .ok_or_else(|| err(format!("no ':' after \"{key}\"")))?
-        .trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| err(format!("\"{key}\" is not a string")))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| err(format!("unterminated \"{key}\"")))?;
-    Ok(rest[..end].to_string())
-}
-
-/// Parse [`dump_json`] output.
-pub fn parse_dump_json(doc: &str) -> Result<ProofDump, WireError> {
-    let proof = decode_chunk_proof(&from_hex(&json_str_field(doc, "proof")?)?)?;
-    let anchor = decode_trust_anchor(&from_hex(&json_str_field(doc, "anchor")?)?)?;
-    let value = from_hex(&json_str_field(doc, "value")?)?;
-    let value = match (&proof.outcome, value) {
-        (ChunkOutcome::Absent, v) if v.is_empty() => None,
-        (_, v) => Some(v),
-    };
-    Ok(ProofDump {
-        proof,
-        anchor,
-        value,
-    })
 }
 
 #[cfg(test)]
@@ -644,29 +574,6 @@ mod tests {
                 assert!(decode_keyed_proof(&enc[..cut]).is_err());
             }
         }
-    }
-
-    #[test]
-    fn dump_roundtrips_through_json() {
-        let p = sample_proof();
-        let a = sample_anchor();
-        let doc = dump_json(&p, &a, Some(b"hello"));
-        let d = parse_dump_json(&doc).unwrap();
-        assert_eq!(d.proof, p);
-        assert_eq!(d.anchor, a);
-        assert_eq!(d.value.as_deref(), Some(&b"hello"[..]));
-
-        let absent = ChunkProof {
-            outcome: ChunkOutcome::Absent,
-            ..p
-        };
-        let doc = dump_json(&absent, &a, None);
-        let d = parse_dump_json(&doc).unwrap();
-        assert_eq!(d.proof.outcome, ChunkOutcome::Absent);
-        assert!(d.value.is_none());
-
-        assert!(parse_dump_json("{}").is_err());
-        assert!(parse_dump_json("{\"proof\": \"zz\"}").is_err());
     }
 
     #[test]

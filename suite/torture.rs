@@ -90,7 +90,7 @@ pub struct TortureConfig {
     /// Chunk-store shards. At 1 (the default) the oracle demands an exact
     /// script prefix; at 2+ the script adds cross-shard transfers and the
     /// oracle relaxes to per-cell admissible windows plus all-or-nothing
-    /// atomicity (see [`admissible_at`]).
+    /// atomicity (see `admissible_at`).
     pub shards: usize,
     /// Print one line per crash point.
     pub verbose: bool,

@@ -89,9 +89,10 @@ fn injected_commit_stall_produces_diagnostic_dump() {
 
     // A little real traffic so the ring holds commit events too.
     for _ in 0..4 {
-        let id = st.allocate_chunk_id().unwrap();
-        st.write(id, &[0xAB; 256]).unwrap();
-        st.commit(Durability::Durable).unwrap();
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &[0xAB; 256]).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
     }
 
     let my_tid = obs::trace::trace_tid() as u64;
@@ -281,13 +282,14 @@ fn stall_storm_forced_cleaning_makes_progress() {
             ..ChunkStoreConfig::default()
         });
 
+        let mut batch = st.begin_batch();
         let ids: Vec<_> = (0..THREADS * IDS_PER_THREAD)
-            .map(|_| st.allocate_chunk_id().unwrap())
+            .map(|_| batch.allocate_chunk_id().unwrap())
             .collect();
         for &id in &ids {
-            st.write(id, &[0u8; 64]).unwrap();
+            batch.write(id, &[0u8; 64]).unwrap();
         }
-        st.commit(Durability::Durable).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
 
         std::thread::scope(|s| {
             for t in 0..THREADS {

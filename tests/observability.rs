@@ -41,9 +41,10 @@ fn commit_phase_spans_sum_close_to_total() {
     let base = st.obs().snapshot();
     let payload = vec![0xC5u8; 8192];
     for _ in 0..40 {
-        let id = st.allocate_chunk_id().unwrap();
-        st.write(id, &payload).unwrap();
-        st.commit(Durability::Durable).unwrap();
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &payload).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
     }
     let snap = st.obs().snapshot().since(&base);
 
@@ -102,9 +103,10 @@ fn commit_phase_lap_counts_match_across_interleaved_checkpoints() {
     let mut commits = 0u64;
     let mut checkpoints = 0u64;
     for round in 0..12u8 {
-        let id = st.allocate_chunk_id().unwrap();
-        st.write(id, &vec![round; 1024]).unwrap();
-        st.commit(Durability::Durable).unwrap();
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &vec![round; 1024]).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
         commits += 1;
         if round % 3 == 2 {
             st.checkpoint().unwrap();
@@ -155,16 +157,19 @@ fn commit_phase_lap_counts_match_across_interleaved_checkpoints() {
 fn registry_counter_deltas_reconcile_with_stats_snapshot() {
     let st = store(ChunkStoreConfig::default());
     // Warm-up traffic so the deltas start from nonzero bases.
-    let id0 = st.allocate_chunk_id().unwrap();
-    st.write(id0, b"warmup").unwrap();
-    st.commit(Durability::Durable).unwrap();
+    let mut batch = st.begin_batch();
+    let id0 = batch.allocate_chunk_id().unwrap();
+    batch.write(id0, b"warmup").unwrap();
+    st.commit_batch(batch, Durability::Durable).unwrap();
 
     let stats_base = st.stats();
     let obs_base = st.obs().snapshot();
     for i in 0..7 {
-        let id = st.allocate_chunk_id().unwrap();
-        st.write(id, &vec![i as u8; 512]).unwrap();
-        st.commit(Durability::from(i % 2 == 0)).unwrap();
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &vec![i as u8; 512]).unwrap();
+        st.commit_batch(batch, Durability::from(i % 2 == 0))
+            .unwrap();
     }
     st.checkpoint().unwrap();
 
@@ -203,9 +208,10 @@ fn recovery_phases_recorded_on_open() {
             ChunkStoreConfig::default(),
         )
         .unwrap();
-        let id = st.allocate_chunk_id().unwrap();
-        st.write(id, b"persisted").unwrap();
-        st.commit(Durability::Durable).unwrap();
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, b"persisted").unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
     }
     let st = ChunkStore::open(mem, &secret, counter, ChunkStoreConfig::default()).unwrap();
     let snap = st.obs().snapshot();
