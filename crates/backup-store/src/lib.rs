@@ -17,6 +17,12 @@
 //!   trusted for nothing. Restore refuses invalid MACs, gaps, reordered or
 //!   cross-database streams.
 //!
+//! Every entry point takes the one [`ChunkStore`](chunk_store::ChunkStore)
+//! type. Backups list and read chunks by the store's global ids; a restore
+//! installs them at those exact ids into one log, so its target must be a
+//! fresh store with one shard (a store of several refuses, naming the
+//! operation and the shard count).
+//!
 //! ```
 //! use backup_store::BackupManager;
 //! use chunk_store::{ChunkStore, ChunkStoreConfig, Durability};

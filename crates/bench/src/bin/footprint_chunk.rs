@@ -19,5 +19,9 @@ fn main() {
     let snap = store.snapshot();
     store.checkpoint().unwrap();
     store.clean().unwrap();
-    println!("{} {}", store.read(id).unwrap().len(), snap.len());
+    println!(
+        "{} {}",
+        store.read(id).unwrap().len(),
+        snap.chunk_ids().len()
+    );
 }

@@ -57,8 +57,6 @@ fn main() {
     let mut mgr = db
         .backup_manager(Arc::new(MemArchive::new()), &secret)
         .unwrap();
-    let _ = mgr
-        .backup_full(db.chunk_store().unsharded("backup_full").unwrap())
-        .unwrap();
+    let _ = mgr.backup_full(db.chunk_store()).unwrap();
     println!("{n}");
 }

@@ -34,8 +34,8 @@ use crate::error::Result;
 use crate::ids::SegmentId;
 use crate::layout::RecordKind;
 use crate::map::Location;
+use crate::shard::{AnchorLane, Inner, FREE_SEGMENT_RESERVE};
 use crate::stats::add;
-use crate::store::{AnchorLane, Inner, FREE_SEGMENT_RESERVE};
 use crate::ChunkId;
 use std::collections::HashSet;
 

@@ -81,12 +81,12 @@ pub struct ChunkStoreConfig {
     /// Chunks relocated per maintenance slice. Bounds how long the store
     /// lock is held by one slice of a background cleaning pass.
     pub maintenance_slice_chunks: usize,
-    /// Number of independent chunk-store shards the object space is
-    /// partitioned across (see [`ShardedChunkStore`](crate::ShardedChunkStore)).
-    /// Each shard gets its own log, location map, and group-commit
-    /// coordinator; a root-of-roots record binds the per-shard anchors to
-    /// the single one-way counter. 1 (the default) is today's unsharded
-    /// layout, bit-for-bit.
+    /// Number of independent shards the object space is partitioned
+    /// across (see [`ChunkStore`](crate::ChunkStore)). Each shard gets its
+    /// own log, location map, and group-commit coordinator; with more than
+    /// one, a root-of-roots record binds the per-shard anchors to the
+    /// single one-way counter. 1 (the default) is the single-log layout,
+    /// bit-for-bit.
     pub shards: usize,
 }
 

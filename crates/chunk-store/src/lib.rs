@@ -24,6 +24,13 @@
 //!   versions, bounded by a maximum-utilization knob; if cleaning cannot
 //!   free enough space the store grows instead (§3.2.1).
 //!
+//! The crate exports one store, [`ChunkStore`], with one batch
+//! ([`WriteBatch`]), one commit ticket ([`CommitTicket`]) and one snapshot
+//! ([`Snapshot`]) type. [`ChunkStoreConfig::shards`] partitions the store
+//! across independent logs under one trust anchor (see [`store`]); the
+//! default of one shard is simply a store with one log, byte-for-byte the
+//! single-log layout.
+//!
 //! ```
 //! use chunk_store::{ChunkStore, ChunkStoreConfig, Durability};
 //! use tdb_platform::{MemStore, MemSecretStore, VolatileCounter};
@@ -60,7 +67,7 @@ pub mod map;
 pub mod proof;
 pub mod recovery;
 pub mod segment;
-pub mod sharded;
+pub(crate) mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -71,7 +78,6 @@ pub use ids::{ChunkId, SegmentId};
 pub use map::Location;
 pub use proof::{ProofBookmark, Proven};
 pub use recovery::RecoveryReport;
-pub use sharded::{ShardedChunkStore, ShardedCommitTicket, ShardedSnapshot, ShardedWriteBatch};
 pub use snapshot::{Snapshot, SnapshotDiff};
 pub use stats::StatsSnapshot;
 pub use store::{ChunkStore, CommitTicket, WriteBatch};

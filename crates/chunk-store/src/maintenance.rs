@@ -50,8 +50,8 @@
 
 use crate::cleaner::{self, CleanPlan};
 use crate::error::Result;
+use crate::shard::StoreCore;
 use crate::stats::add;
-use crate::store::StoreCore;
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -281,8 +281,8 @@ fn watchdog_poll(core: &StoreCore) {
     }
 }
 
-/// Thread body. Holds an `Arc<StoreCore>` (not the `ChunkStore` handle),
-/// so dropping the store still reaches `ChunkStore::close`'s join.
+/// Thread body. Holds an `Arc<StoreCore>` (not the `Shard` handle),
+/// so dropping the store still reaches `Shard::close`'s join.
 pub(crate) fn run(core: Arc<StoreCore>) {
     loop {
         let kicked = {

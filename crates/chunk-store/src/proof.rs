@@ -24,7 +24,7 @@ use crate::map;
 use crate::snapshot::SnapCore;
 use crate::stats::SharedStats;
 
-/// Hook installed by the sharded store: minted at [`Proven::prove`] time,
+/// Hook installed by a store with several shards: minted at [`Proven::prove`] time,
 /// it produces the root-of-roots [`tdb_proof::EpochRecord`] (under the
 /// combiner's current state) spliced into the proof as a [`ShardBinding`].
 pub(crate) type ShardHook = Arc<dyn Fn() -> Result<ShardBinding> + Send + Sync>;
@@ -145,8 +145,8 @@ impl<T> Proven<T> {
 
 /// Reject proof requests on a store without security: there is no MAC key
 /// to mint attestations under, so a "proof" would be meaningless bytes.
-pub(crate) fn require_full_security(ctx: &CryptoCtx) -> Result<()> {
-    if ctx.mode() != crate::config::SecurityMode::Full {
+pub(crate) fn require_full_security(mode: crate::config::SecurityMode) -> Result<()> {
+    if mode != crate::config::SecurityMode::Full {
         return Err(ChunkStoreError::ConfigMismatch(
             "proof-carrying reads require SecurityMode::Full \
              (a store created with SecurityMode::Off has no MAC keys to attest under)"

@@ -24,15 +24,16 @@ use crate::layout::{
 };
 use crate::map::{Location, LocationMap};
 use crate::segment::SegmentManager;
+use crate::shard::{iv_salt, Inner};
 use crate::stats::{SharedStats, Stats};
-use crate::store::{iv_salt, Inner};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use tdb_crypto::DIGEST_LEN;
 use tdb_platform::{OneWayCounter, SecretStore, UntrustedStore};
 
 /// What crash recovery found and did, for post-mortem assertions by crash
-/// tests (and diagnostics). Produced by every successful `ChunkStore::open`.
+/// tests (and diagnostics). Produced for every shard by a successful
+/// `ChunkStore::open` (see `ChunkStore::recovery_reports`).
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// Anchor generation that recovery started from.

@@ -13,6 +13,7 @@
 
 use crate::ids::ChunkId;
 use crate::map::{self, Location, Node};
+use crate::store::Layout;
 use std::sync::Arc;
 
 pub use crate::map::MapDiff as SnapshotDiff;
@@ -25,26 +26,58 @@ pub(crate) struct SnapCore {
     /// Commit sequence number the snapshot was taken at.
     pub(crate) seq: u64,
     /// One-way counter value observed when the snapshot was pinned (the
-    /// shard's *virtual* counter on a sharded member store). Proof
+    /// shard's *virtual* counter when the store has several shards). Proof
     /// attestations deferred to [`Proven::prove`](crate::proof::Proven::prove)
     /// are minted over this value, so a proof stays bound to the freshness
     /// the reader actually observed, not to whatever the counter says later.
     pub(crate) counter_value: u64,
 }
 
-/// A frozen, consistent view of the whole chunk database.
+/// A frozen, consistent view of the whole chunk database: one pinned map
+/// root per shard, taken together so no cross-shard transaction is seen
+/// half-applied.
 ///
-/// Dropping the snapshot releases its cleaning pin automatically.
+/// Dropping the snapshot releases its cleaning pins automatically.
 pub struct Snapshot {
-    pub(crate) core: Arc<SnapCore>,
+    pub(crate) layout: Layout,
+    pub(crate) parts: Vec<ShardSnapshot>,
 }
 
 impl Snapshot {
-    /// The commit sequence number this snapshot captured.
-    pub fn commit_seq(&self) -> u64 {
-        self.core.seq
+    /// Commit sequence this snapshot captured on the shard storing `cid`.
+    /// Sequences of different shards are not comparable, so per-chunk
+    /// version checks must use this.
+    pub fn seq_for(&self, cid: ChunkId) -> u64 {
+        self.parts[self.layout.shard_of(cid)].core.seq
     }
 
+    /// Highest captured commit sequence across shards (with one shard,
+    /// simply the commit sequence the snapshot captured).
+    pub fn commit_seq(&self) -> u64 {
+        self.parts.iter().map(|p| p.core.seq).max().unwrap_or(0)
+    }
+
+    /// Ids of all chunks in the snapshot, ascending per shard, shard by
+    /// shard (the store's own bookkeeping chunks excluded).
+    pub fn chunk_ids(&self) -> Vec<ChunkId> {
+        let mut ids = Vec::new();
+        for (s, part) in self.parts.iter().enumerate() {
+            part.for_each_location(&mut |local, _| {
+                if let Some(id) = self.layout.unroute(s, local) {
+                    ids.push(id);
+                }
+            });
+        }
+        ids
+    }
+}
+
+/// One shard's pinned map root.
+pub(crate) struct ShardSnapshot {
+    pub(crate) core: Arc<SnapCore>,
+}
+
+impl ShardSnapshot {
     /// Location of a chunk in this snapshot, if present.
     pub(crate) fn location_of(&self, id: ChunkId) -> Option<Location> {
         map::get_in_root(&self.core.root, self.core.depth, self.core.fanout, id)
@@ -53,27 +86,6 @@ impl Snapshot {
     /// Visit every chunk in the snapshot in id order.
     pub(crate) fn for_each_location(&self, f: &mut impl FnMut(ChunkId, &Location)) {
         walk(&self.core.root, self.core.fanout, self.core.depth, 0, f);
-    }
-
-    /// Ids of all chunks in the snapshot, ascending.
-    pub fn chunk_ids(&self) -> Vec<ChunkId> {
-        let mut ids = Vec::new();
-        self.for_each_location(&mut |id, _| ids.push(id));
-        ids
-    }
-
-    /// Number of chunks captured.
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.for_each_location(&mut |_, _| n += 1);
-        n
-    }
-
-    /// Whether the snapshot is empty.
-    pub fn is_empty(&self) -> bool {
-        let mut empty = true;
-        self.for_each_location(&mut |_, _| empty = false);
-        empty
     }
 }
 

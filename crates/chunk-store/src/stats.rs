@@ -65,7 +65,7 @@ macro_rules! counters {
             }
 
             /// Field-wise sum — aggregation across the shards of a
-            /// [`ShardedChunkStore`](crate::ShardedChunkStore).
+            /// [`ChunkStore`](crate::ChunkStore).
             pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $( $name: self.$name.wrapping_add(other.$name), )*

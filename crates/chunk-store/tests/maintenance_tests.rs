@@ -655,8 +655,7 @@ impl OneWayCounter for FlakyCounter {
 }
 
 fn diag_u64(store: &ChunkStore, key: &str) -> u64 {
-    store
-        .diag_state()
+    store.diag_state().as_arr().unwrap()[0]
         .get(key)
         .and_then(|v| v.as_u64())
         .unwrap()

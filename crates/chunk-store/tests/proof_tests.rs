@@ -6,7 +6,6 @@
 
 use chunk_store::{
     ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, Durability, SecurityMode,
-    ShardedChunkStore,
 };
 use std::sync::Arc;
 use tdb_platform::{MemSecretStore, MemStore, VolatileCounter};
@@ -190,10 +189,10 @@ fn security_off_refuses_proofs_with_a_usage_error() {
     ));
 }
 
-fn create_sharded(mem: &MemStore, counter: &VolatileCounter, shards: usize) -> ShardedChunkStore {
+fn create_sharded(mem: &MemStore, counter: &VolatileCounter, shards: usize) -> ChunkStore {
     let mut c = cfg();
     c.shards = shards;
-    ShardedChunkStore::create(
+    ChunkStore::create(
         Arc::new(mem.clone()),
         &MemSecretStore::from_label("proof-tests"),
         Arc::new(counter.clone()),
@@ -316,21 +315,15 @@ fn sharded_tamper_variants_are_rejected() {
 }
 
 #[test]
-fn unsharded_gate_errors_name_operation_shards_and_docs() {
+fn restore_refusals_name_operation_shards_and_docs() {
     let mem = MemStore::new();
     let counter = VolatileCounter::new();
     let store = create_sharded(&mem, &counter, 2);
 
-    let msg = match store.unsharded("backup_full") {
-        Err(e) => e.to_string(),
-        Ok(_) => panic!("unsharded() must fail at 2 shards"),
-    };
-    assert!(msg.contains("backup_full"), "names the operation: {msg}");
+    let msg = store.restore_image(Vec::new()).unwrap_err().to_string();
+    assert!(msg.contains("restore_image"), "names the operation: {msg}");
     assert!(msg.contains("2 shards"), "names the shard count: {msg}");
     assert!(msg.contains("DESIGN.md"), "points at the docs: {msg}");
-
-    let msg = store.restore_image(Vec::new()).unwrap_err().to_string();
-    assert!(msg.contains("restore_image") && msg.contains("2") && msg.contains("DESIGN.md"));
     let msg = store
         .apply_restore_delta(Vec::new(), Vec::new())
         .unwrap_err()

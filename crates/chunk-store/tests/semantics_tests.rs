@@ -364,7 +364,7 @@ fn recovery_report_counts_replayed_and_discarded_commits() {
     let id = {
         let store = fx.create();
         assert!(
-            store.recovery_report().is_none(),
+            store.recovery_reports()[0].is_none(),
             "fresh store ran no recovery"
         );
         let mut batch = store.begin_batch();
@@ -382,8 +382,8 @@ fn recovery_report_counts_replayed_and_discarded_commits() {
         id
     };
     let store = fx.open();
-    let report = store
-        .recovery_report()
+    let report = store.recovery_reports()[0]
+        .clone()
         .expect("opened store carries a report");
     assert_eq!(report.last_seq - report.base_seq, report.commits_replayed);
     assert_eq!(

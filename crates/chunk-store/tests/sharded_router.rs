@@ -1,12 +1,11 @@
-//! Property tests for the sharded chunk store's router: stable routing
-//! across reopen, observable equivalence of `shards = 1` with the plain
-//! store, and rejection of shard-count changes on an existing database.
+//! Tests of the chunk store's shard routing: stable routing across reopen,
+//! one seeded sequence of batches giving the same reads at 1, 2 and 4
+//! shards (with the single-log file layout at 1), and rejection of
+//! shard-count changes on an existing database.
 
-use chunk_store::{
-    ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, Durability, ShardedChunkStore,
-};
+use chunk_store::{ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, Durability, Snapshot};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tdb_core::ErrorKind;
 use tdb_platform::{MemSecretStore, MemStore, UntrustedStore, VolatileCounter};
@@ -53,14 +52,8 @@ fn pick_id(model: &HashMap<u64, Vec<u8>>, pick: usize) -> Option<ChunkId> {
     Some(ChunkId(ids[pick % ids.len()]))
 }
 
-/// Apply one op as its own durable batch commit. Returns the commit
-/// sequence, or `None` for ops that committed nothing.
-fn apply(
-    store: &ShardedChunkStore,
-    model: &mut HashMap<u64, Vec<u8>>,
-    op: &Op,
-    seed: u64,
-) -> Option<u64> {
+/// Apply one op as its own durable batch commit.
+fn apply(store: &ChunkStore, model: &mut HashMap<u64, Vec<u8>>, op: &Op, seed: u64) {
     let mut batch = store.begin_batch();
     match op {
         Op::Insert { len } => {
@@ -72,7 +65,7 @@ fn apply(
         Op::Update { pick, len } => {
             let Some(id) = pick_id(model, *pick) else {
                 batch.discard();
-                return None;
+                return;
             };
             let data = content(seed ^ 0xA5, *len);
             batch.write(id, &data).unwrap();
@@ -81,7 +74,7 @@ fn apply(
         Op::Remove { pick } => {
             let Some(id) = pick_id(model, *pick) else {
                 batch.discard();
-                return None;
+                return;
             };
             batch.deallocate(id).unwrap();
             model.remove(&id.0);
@@ -89,12 +82,10 @@ fn apply(
         Op::Reopen => unreachable!("handled by the caller"),
     }
     let ticket = store.append_batch(batch, Durability::Durable).unwrap();
-    let seq = ticket.seq();
     store.wait_durable(ticket).unwrap();
-    Some(seq)
 }
 
-fn check(store: &ShardedChunkStore, model: &HashMap<u64, Vec<u8>>, reserved: u64, ctx: &str) {
+fn check(store: &ChunkStore, model: &HashMap<u64, Vec<u8>>, reserved: u64, ctx: &str) {
     for (id, data) in model {
         let got = store
             .read(ChunkId(*id))
@@ -119,7 +110,7 @@ proptest! {
         let mem = MemStore::new();
         let counter = VolatileCounter::new();
         let secret = MemSecretStore::from_label("router-reopen");
-        let mut store = ShardedChunkStore::create(
+        let mut store = ChunkStore::create(
             Arc::new(mem.clone()),
             &secret,
             Arc::new(counter.clone()),
@@ -135,7 +126,7 @@ proptest! {
             if matches!(op, Op::Reopen) {
                 store.close();
                 drop(store);
-                store = ShardedChunkStore::open(
+                store = ChunkStore::open(
                     Arc::new(mem.clone()),
                     &secret,
                     Arc::new(counter.clone()),
@@ -149,130 +140,9 @@ proptest! {
         }
         store.close();
         drop(store);
-        let store = ShardedChunkStore::open(Arc::new(mem), &secret, Arc::new(counter), cfg(3))
+        let store = ChunkStore::open(Arc::new(mem), &secret, Arc::new(counter), cfg(3))
             .unwrap();
         check(&store, &model, reserved, "final reopen");
-    }
-
-    /// A 1-shard `ShardedChunkStore` must be observably identical to the
-    /// plain `ChunkStore` under the same op sequence: same contents, same
-    /// commit sequences, same live counts, same file name set, and the
-    /// same recovery report after reopen. (Byte-level equality is not
-    /// expected — IVs are salted per process clock.)
-    #[test]
-    fn one_shard_store_matches_the_unsharded_store(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
-    ) {
-        let mem_s = MemStore::new();
-        let mem_p = MemStore::new();
-        let counter_s = VolatileCounter::new();
-        let counter_p = VolatileCounter::new();
-        let secret = MemSecretStore::from_label("router-equiv");
-        let mut sharded = ShardedChunkStore::create(
-            Arc::new(mem_s.clone()),
-            &secret,
-            Arc::new(counter_s.clone()),
-            cfg(1),
-        )
-        .unwrap();
-        let mut plain = ChunkStore::create(
-            Arc::new(mem_p.clone()),
-            &secret,
-            Arc::new(counter_p.clone()),
-            cfg(1),
-        )
-        .unwrap();
-
-        let mut model = HashMap::new();
-        for (step, op) in ops.iter().enumerate() {
-            let ctx = format!("step {step} ({op:?})");
-            if matches!(op, Op::Reopen) {
-                sharded.close();
-                plain.close();
-                drop(sharded);
-                drop(plain);
-                sharded = ShardedChunkStore::open(
-                    Arc::new(mem_s.clone()),
-                    &secret,
-                    Arc::new(counter_s.clone()),
-                    cfg(1),
-                )
-                .unwrap();
-                plain = ChunkStore::open(
-                    Arc::new(mem_p.clone()),
-                    &secret,
-                    Arc::new(counter_p.clone()),
-                    cfg(1),
-                )
-                .unwrap();
-                let rs = sharded.recovery_report().unwrap();
-                let rp = plain.recovery_report().unwrap();
-                assert_eq!(
-                    (rs.base_seq, rs.last_seq, rs.commits_replayed, rs.nondurable_discarded),
-                    (rp.base_seq, rp.last_seq, rp.commits_replayed, rp.nondurable_discarded),
-                    "{ctx}: recovery reports diverge"
-                );
-                continue;
-            }
-            let mut model_plain = model.clone();
-            let seq_s = apply(&sharded, &mut model, op, step as u64);
-            // Mirror the op against the plain store with the same picks.
-            let seq_p = {
-                let mut batch = plain.begin_batch();
-                let committed = match op {
-                    Op::Insert { len } => {
-                        let id = batch.allocate_chunk_id().unwrap();
-                        let data = content(step as u64, *len);
-                        batch.write(id, &data).unwrap();
-                        model_plain.insert(id.0, data);
-                        true
-                    }
-                    Op::Update { pick, len } => match pick_id(&model_plain, *pick) {
-                        Some(id) => {
-                            let data = content(step as u64 ^ 0xA5, *len);
-                            batch.write(id, &data).unwrap();
-                            model_plain.insert(id.0, data);
-                            true
-                        }
-                        None => false,
-                    },
-                    Op::Remove { pick } => match pick_id(&model_plain, *pick) {
-                        Some(id) => {
-                            batch.deallocate(id).unwrap();
-                            model_plain.remove(&id.0);
-                            true
-                        }
-                        None => false,
-                    },
-                    Op::Reopen => unreachable!(),
-                };
-                if committed {
-                    let ticket = plain.append_batch(batch, Durability::Durable).unwrap();
-                    let seq = ticket.seq();
-                    plain.wait_durable(ticket).unwrap();
-                    Some(seq)
-                } else {
-                    batch.discard();
-                    None
-                }
-            };
-            assert_eq!(model, model_plain, "{ctx}: models diverge (id allocation)");
-            assert_eq!(seq_s, seq_p, "{ctx}: commit sequences diverge");
-            assert_eq!(sharded.live_chunks(), plain.live_chunks(), "{ctx}: live counts");
-            for (id, data) in &model {
-                assert_eq!(&sharded.read(ChunkId(*id)).unwrap(), data, "{ctx}: sharded read");
-                assert_eq!(&plain.read(ChunkId(*id)).unwrap(), data, "{ctx}: plain read");
-            }
-        }
-        let mut names_s = mem_s.list().unwrap();
-        let mut names_p = mem_p.list().unwrap();
-        names_s.sort();
-        names_p.sort();
-        assert_eq!(names_s, names_p, "file name sets diverge");
-        assert!(
-            names_s.iter().all(|n| !n.contains("--") && !n.starts_with("rr.")),
-            "1-shard store must not use shard prefixes or a root-of-roots: {names_s:?}"
-        );
     }
 }
 
@@ -283,7 +153,7 @@ fn shard_count_changes_are_rejected_at_open() {
     let mem = MemStore::new();
     let counter = VolatileCounter::new();
     let secret = MemSecretStore::from_label("router-mismatch");
-    let store = ShardedChunkStore::create(
+    let store = ChunkStore::create(
         Arc::new(mem.clone()),
         &secret,
         Arc::new(counter.clone()),
@@ -293,7 +163,7 @@ fn shard_count_changes_are_rejected_at_open() {
     store.close();
     drop(store);
     for wrong in [1usize, 3, 4] {
-        let err = match ShardedChunkStore::open(
+        let err = match ChunkStore::open(
             Arc::new(mem.clone()),
             &secret,
             Arc::new(counter.clone()),
@@ -309,7 +179,7 @@ fn shard_count_changes_are_rejected_at_open() {
         assert_eq!(err.kind(), ErrorKind::Usage);
     }
     // The right count still opens.
-    ShardedChunkStore::open(Arc::new(mem), &secret, Arc::new(counter), cfg(2)).unwrap();
+    ChunkStore::open(Arc::new(mem), &secret, Arc::new(counter), cfg(2)).unwrap();
 }
 
 /// An unsharded database reopened with `shards > 1` (and vice versa) is a
@@ -319,7 +189,7 @@ fn sharding_an_existing_unsharded_database_is_rejected() {
     let mem = MemStore::new();
     let counter = VolatileCounter::new();
     let secret = MemSecretStore::from_label("router-upgrade");
-    let store = ShardedChunkStore::create(
+    let store = ChunkStore::create(
         Arc::new(mem.clone()),
         &secret,
         Arc::new(counter.clone()),
@@ -328,7 +198,7 @@ fn sharding_an_existing_unsharded_database_is_rejected() {
     .unwrap();
     store.close();
     drop(store);
-    let err = match ShardedChunkStore::open(
+    let err = match ChunkStore::open(
         Arc::new(mem.clone()),
         &secret,
         Arc::new(counter.clone()),
@@ -339,9 +209,293 @@ fn sharding_an_existing_unsharded_database_is_rejected() {
     };
     assert_eq!(err.kind(), ErrorKind::Usage, "surfaced {err:?}");
     // And creating over it is equally rejected.
-    let err = match ShardedChunkStore::create(Arc::new(mem), &secret, Arc::new(counter), cfg(2)) {
+    let err = match ChunkStore::create(Arc::new(mem), &secret, Arc::new(counter), cfg(2)) {
         Ok(_) => panic!("creating over an existing database must fail"),
         Err(e) => e,
     };
     assert!(!matches!(err.kind(), ErrorKind::Tamper | ErrorKind::Replay));
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the degenerate case
+// ---------------------------------------------------------------------------
+
+/// xorshift64: the seeded step generator shared by every replica.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// One step of the sequence, in logical keys (each store maps keys to its
+/// own chunk ids: after frees, allocation order differs between shard
+/// counts).
+enum Step {
+    Batch {
+        removes: Vec<u64>,
+        writes: Vec<(u64, Vec<u8>)>,
+        inserts: Vec<(u64, Vec<u8>)>,
+        durable: bool,
+    },
+    Snapshot,
+    ReleaseSnapshot,
+    Checkpoint,
+    Clean,
+    Reopen,
+}
+
+/// One store of the differential run and its key → id map.
+struct Replica {
+    mem: MemStore,
+    counter: VolatileCounter,
+    shards: usize,
+    store: ChunkStore,
+    ids: HashMap<u64, ChunkId>,
+    /// Live snapshots with the key → id map they were taken under.
+    snaps: Vec<(Snapshot, HashMap<u64, ChunkId>)>,
+}
+
+impl Replica {
+    fn new(shards: usize) -> Replica {
+        let (mem, counter) = (MemStore::new(), VolatileCounter::new());
+        let store = ChunkStore::create(
+            Arc::new(mem.clone()),
+            &MemSecretStore::from_label("differential"),
+            Arc::new(counter.clone()),
+            cfg(shards),
+        )
+        .unwrap();
+        Replica {
+            mem,
+            counter,
+            shards,
+            store,
+            ids: HashMap::new(),
+            snaps: Vec::new(),
+        }
+    }
+
+    fn step(&mut self, step: &Step) {
+        match step {
+            Step::Batch {
+                removes,
+                writes,
+                inserts,
+                durable,
+            } => {
+                let mut b = self.store.begin_batch();
+                for k in removes {
+                    b.deallocate(self.ids.remove(k).unwrap()).unwrap();
+                }
+                for (k, bytes) in writes {
+                    b.write(self.ids[k], bytes).unwrap();
+                }
+                for (k, bytes) in inserts {
+                    let id = b.allocate_chunk_id().unwrap();
+                    b.write(id, bytes).unwrap();
+                    assert_eq!(&b.read(id).unwrap(), bytes, "read-your-writes");
+                    self.ids.insert(*k, id);
+                }
+                let durability = if *durable {
+                    Durability::Durable
+                } else {
+                    Durability::Lazy
+                };
+                self.store.commit_batch(b, durability).unwrap();
+            }
+            Step::Snapshot => {
+                let snap = self.store.snapshot();
+                if let Some((prev, prev_ids)) = self.snaps.last() {
+                    let diff = self.store.diff_snapshots(prev, &snap);
+                    let live: Vec<ChunkId> = self.ids.values().copied().collect();
+                    // Freed ids may be handed out again: only ids no key
+                    // holds any more are removals.
+                    let mut gone: Vec<ChunkId> = prev_ids
+                        .values()
+                        .filter(|id| !live.contains(id))
+                        .copied()
+                        .collect();
+                    let mut removed = diff.removed.clone();
+                    removed.sort();
+                    gone.sort();
+                    assert_eq!(removed, gone, "N={}: diff removals", self.shards);
+                    for (k, id) in &self.ids {
+                        assert!(
+                            prev_ids.contains_key(k) || diff.changed.iter().any(|(c, _)| c == id),
+                            "N={}: diff misses new key {k}",
+                            self.shards
+                        );
+                    }
+                    assert!(diff.changed.iter().all(|(c, _)| live.contains(c)));
+                }
+                self.snaps.push((snap, self.ids.clone()));
+            }
+            Step::ReleaseSnapshot => {
+                self.snaps.remove(0);
+            }
+            Step::Checkpoint => self.store.checkpoint().unwrap(),
+            Step::Clean => {
+                self.store.clean().unwrap();
+            }
+            Step::Reopen => {
+                // A durable barrier first: lazy commits are only promised
+                // to survive once a later durable commit covers them.
+                self.store
+                    .commit_batch(self.store.begin_batch(), Durability::Durable)
+                    .unwrap();
+                self.snaps.clear();
+                self.store.close();
+                self.store = ChunkStore::open(
+                    Arc::new(self.mem.clone()),
+                    &MemSecretStore::from_label("differential"),
+                    Arc::new(self.counter.clone()),
+                    cfg(self.shards),
+                )
+                .unwrap();
+            }
+        }
+    }
+
+    /// Every read and snapshot read of this replica, by logical key.
+    fn observe(&self, snap_models: &[BTreeMap<u64, Vec<u8>>]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut keys: Vec<&u64> = self.ids.keys().collect();
+        keys.sort();
+        for k in keys {
+            out.push(self.store.read(self.ids[k]).unwrap());
+        }
+        for ((snap, ids), model) in self.snaps.iter().zip(snap_models) {
+            let mut expect: Vec<ChunkId> = ids.values().copied().collect();
+            let mut listed = snap.chunk_ids();
+            expect.sort();
+            listed.sort();
+            assert_eq!(listed, expect, "N={}: snapshot ids", self.shards);
+            for k in model.keys() {
+                out.push(self.store.read_at_snapshot(snap, ids[k]).unwrap());
+            }
+        }
+        out
+    }
+}
+
+/// One seeded sequence of batches — allocate, write, deallocate, lazy and
+/// durable commits, snapshots, checkpoint/clean and reopens — at 1, 2 and
+/// 4 shards: every read and every snapshot read agrees across shard counts
+/// and with the model. At one shard the store also keeps the single-log
+/// layout: no root-of-roots, no shard prefix, fresh ids from 0.
+#[test]
+fn one_sequence_reads_the_same_at_every_shard_count() {
+    for seed in [0x5EED_0001u64, 0x5EED_0002, 0x5EED_0003] {
+        let mut rng = Rng(seed);
+        let mut replicas: Vec<Replica> = [1, 2, 4].into_iter().map(Replica::new).collect();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut snap_models: Vec<BTreeMap<u64, Vec<u8>>> = Vec::new();
+        let mut next_key = 0u64;
+        for i in 0..80 {
+            let step = match rng.below(12) {
+                0 => Step::Snapshot,
+                1 if !snap_models.is_empty() => Step::ReleaseSnapshot,
+                2 => Step::Checkpoint,
+                3 => Step::Clean,
+                4 if i % 3 == 0 => Step::Reopen,
+                _ => {
+                    let keys: Vec<u64> = model.keys().copied().collect();
+                    let mut touched = Vec::new();
+                    let mut pick = |rng: &mut Rng| {
+                        let k = keys[rng.below(keys.len())];
+                        (!touched.contains(&k)).then(|| {
+                            touched.push(k);
+                            k
+                        })
+                    };
+                    let (mut removes, mut writes) = (Vec::new(), Vec::new());
+                    if !keys.is_empty() {
+                        for _ in 0..rng.below(3) {
+                            removes.extend(pick(&mut rng));
+                        }
+                        for _ in 0..rng.below(4) {
+                            if let Some(k) = pick(&mut rng) {
+                                writes.push((k, content(rng.next(), 1 + rng.below(300))));
+                            }
+                        }
+                    }
+                    let inserts: Vec<(u64, Vec<u8>)> = (0..rng.below(5))
+                        .map(|_| {
+                            next_key += 1;
+                            (next_key, content(rng.next(), 1 + rng.below(300)))
+                        })
+                        .collect();
+                    Step::Batch {
+                        removes,
+                        writes,
+                        inserts,
+                        durable: rng.below(2) == 0,
+                    }
+                }
+            };
+            match &step {
+                Step::Batch {
+                    removes,
+                    writes,
+                    inserts,
+                    ..
+                } => {
+                    for k in removes {
+                        model.remove(k);
+                    }
+                    model.extend(writes.iter().chain(inserts).cloned());
+                }
+                Step::Snapshot => snap_models.push(model.clone()),
+                Step::ReleaseSnapshot => drop(snap_models.remove(0)),
+                Step::Reopen => snap_models.clear(),
+                Step::Checkpoint | Step::Clean => {}
+            }
+            for r in &mut replicas {
+                r.step(&step);
+            }
+            let expected: Vec<Vec<u8>> = model
+                .values()
+                .chain(snap_models.iter().flat_map(|m| m.values()))
+                .cloned()
+                .collect();
+            for r in &replicas {
+                assert_eq!(
+                    r.observe(&snap_models),
+                    expected,
+                    "seed {seed:#x} step {i}: N={} disagrees",
+                    r.shards
+                );
+            }
+        }
+        let one = &replicas[0];
+        let names = one.mem.list().unwrap();
+        assert!(
+            names
+                .iter()
+                .all(|n| !n.starts_with("rr.") && !n.contains("--")),
+            "one shard must keep the single-log layout: {names:?}"
+        );
+        // Fresh stores hand out the same ids 0, 1, 2, … at every count.
+        for r in &mut replicas {
+            r.store = ChunkStore::create(
+                Arc::new(MemStore::new()),
+                &MemSecretStore::from_label("differential"),
+                Arc::new(VolatileCounter::new()),
+                cfg(r.shards),
+            )
+            .unwrap();
+            let mut b = r.store.begin_batch();
+            let ids: Vec<u64> = (0..6).map(|_| b.allocate_chunk_id().unwrap().0).collect();
+            assert_eq!(ids, (0..6).collect::<Vec<_>>(), "N={}", r.shards);
+        }
+    }
 }

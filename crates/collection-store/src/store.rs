@@ -5,7 +5,7 @@ use crate::error::Result;
 use crate::extractor::ExtractorRegistry;
 use crate::meta::{register_internal_classes, DirectoryObj, DIRECTORY_ROOT};
 use crate::read::ReadCTransaction;
-use chunk_store::{ChunkStore, Durability, ShardedChunkStore};
+use chunk_store::{ChunkStore, Durability};
 use object_store::{ClassRegistry, ObjectStore, ObjectStoreConfig};
 use std::sync::Arc;
 
@@ -25,28 +25,12 @@ impl CollectionStore {
     /// class registry.
     pub fn create(
         chunks: Arc<ChunkStore>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: ObjectStoreConfig,
-    ) -> Result<Self> {
-        Self::create_sharded(
-            Arc::new(ShardedChunkStore::from_single(chunks)),
-            classes,
-            extractors,
-            cfg,
-        )
-    }
-
-    /// Create a collection store over a fresh, possibly sharded chunk
-    /// store.
-    pub fn create_sharded(
-        chunks: Arc<ShardedChunkStore>,
         mut classes: ClassRegistry,
         extractors: ExtractorRegistry,
         cfg: ObjectStoreConfig,
     ) -> Result<Self> {
         register_internal_classes(&mut classes);
-        let objects = ObjectStore::create_sharded(chunks, classes, cfg)?;
+        let objects = ObjectStore::create(chunks, classes, cfg)?;
         let txn = objects.begin();
         let dir = txn.insert(Box::new(DirectoryObj {
             entries: Vec::new(),
@@ -64,28 +48,12 @@ impl CollectionStore {
     /// Open an existing collection store.
     pub fn open(
         chunks: Arc<ChunkStore>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: ObjectStoreConfig,
-    ) -> Result<Self> {
-        Self::open_sharded(
-            Arc::new(ShardedChunkStore::from_single(chunks)),
-            classes,
-            extractors,
-            cfg,
-        )
-    }
-
-    /// Open an existing collection store over a possibly sharded chunk
-    /// store.
-    pub fn open_sharded(
-        chunks: Arc<ShardedChunkStore>,
         mut classes: ClassRegistry,
         extractors: ExtractorRegistry,
         cfg: ObjectStoreConfig,
     ) -> Result<Self> {
         register_internal_classes(&mut classes);
-        let objects = ObjectStore::open_sharded(chunks, classes, cfg)?;
+        let objects = ObjectStore::open(chunks, classes, cfg)?;
         let obs = Arc::new(IndexCounters::with_registry(&objects.obs()));
         Ok(CollectionStore {
             objects,
@@ -116,8 +84,8 @@ impl CollectionStore {
         &self.objects
     }
 
-    /// The underlying (sharded) chunk store (snapshots, backups, stats).
-    pub fn chunk_store(&self) -> &Arc<ShardedChunkStore> {
+    /// The underlying chunk store (snapshots, backups, stats).
+    pub fn chunk_store(&self) -> &Arc<ChunkStore> {
         self.objects.chunk_store()
     }
 }

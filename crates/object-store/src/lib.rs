@@ -17,6 +17,12 @@
 //! | object cache, no-steal, pinning     | [`store::ObjectStore`] LRU cache       |
 //! | one object per chunk (§4.2.1)       | `ObjectId` *is* the `ChunkId`          |
 //!
+//! There is one way in: [`ObjectStore::create`] / [`ObjectStore::open`]
+//! over an `Arc<`[`ChunkStore`](chunk_store::ChunkStore)`>` of any shard
+//! count. Object ids are the store's global chunk ids, so nothing here
+//! knows how many shards lie underneath; with several, only version stamps
+//! are per shard ([`Snapshot::seq_for`](chunk_store::Snapshot::seq_for)).
+//!
 //! ```
 //! use object_store::{ClassRegistry, ObjectStore, ObjectStoreConfig, Persistent, Pickler,
 //!                    Unpickler, PickleError, impl_persistent_boilerplate};

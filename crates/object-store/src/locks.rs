@@ -307,7 +307,9 @@ impl LockManager {
                 break Wait::Granted;
             }
         };
-        table.waiting.remove(&txn);
+        if !matches!(outcome, Wait::TimedOut) {
+            table.waiting.remove(&txn);
+        }
         table.doomed.remove(&txn);
         sw.lap_into(&self.obs.wait_time);
         use tdb_obs::{TraceKind, TraceLayer};
@@ -327,9 +329,15 @@ impl LockManager {
             Wait::TimedOut => {
                 // Classify without the shard mutex: the wait-for graph may
                 // span shards, and snapshotting them all while holding one
-                // would order shard locks against each other.
+                // would order shard locks against each other. Our own wait
+                // edge stays registered until then: the waiters of one cycle
+                // time out together, and if each dropped its edge before
+                // classifying, each could miss the other's and both would
+                // read as plain contention.
                 drop(table);
-                if self.was_deadlocked(txn, oid.0) {
+                let deadlocked = self.was_deadlocked(txn, oid.0);
+                shard.table.lock().waiting.remove(&txn);
+                if deadlocked {
                     self.obs.timeouts_deadlock.inc();
                     tdb_obs::trace::emit(
                         TraceLayer::Object,

@@ -24,7 +24,7 @@ use crate::error::{ObjectStoreError, Result};
 use crate::reader::ObjectReader;
 use crate::store::{ObjectCell, ObjectStore};
 use crate::{ObjectId, Persistent};
-use chunk_store::{Proven, ShardedSnapshot};
+use chunk_store::{Proven, Snapshot};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,7 +39,7 @@ use tdb_obs::Counter;
 /// when dropped (or via [`finish`](ReadTransaction::finish)).
 pub struct ReadTransaction {
     store: ObjectStore,
-    snap: ShardedSnapshot,
+    snap: Snapshot,
     /// Snapshot-private cells decoded via the fallback path, memoized so a
     /// scan touching the same node twice unpickles once.
     fallback: Mutex<HashMap<u64, Arc<ObjectCell>>>,
@@ -50,7 +50,7 @@ pub struct ReadTransaction {
 }
 
 impl ReadTransaction {
-    pub(crate) fn new(store: ObjectStore, snap: ShardedSnapshot) -> Self {
+    pub(crate) fn new(store: ObjectStore, snap: Snapshot) -> Self {
         let obs = store.obs();
         tdb_obs::trace::emit(
             tdb_obs::TraceLayer::Object,
@@ -70,16 +70,15 @@ impl ReadTransaction {
     }
 
     /// The highest chunk-store commit sequence this reader observes
-    /// across shards. On an unsharded store every commit with sequence
-    /// `<=` this value is visible, every later one is not; at shard
-    /// counts above 1 visibility is per shard (see
-    /// [`ShardedSnapshot::seq_for`]).
+    /// across shards. With one shard every commit with sequence `<=` this
+    /// value is visible, every later one is not; with several, visibility
+    /// is per shard (see [`Snapshot::seq_for`]).
     pub fn commit_seq(&self) -> u64 {
         self.snap.commit_seq()
     }
 
     /// The underlying pinned snapshot (for diffing/backup interop).
-    pub fn snapshot(&self) -> &ShardedSnapshot {
+    pub fn snapshot(&self) -> &Snapshot {
         &self.snap
     }
 

@@ -6,7 +6,7 @@ use crate::locks::{LockManager, LockStats};
 use crate::pickle::{Pickler, Unpickler};
 use crate::txn::{Transaction, TxnCore};
 use crate::{ChunkId, ObjectId};
-use chunk_store::{ChunkStore, Durability, ShardedChunkStore};
+use chunk_store::{ChunkStore, Durability};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -233,7 +233,7 @@ pub(crate) struct StoreState {
 }
 
 pub(crate) struct OsInner {
-    pub(crate) chunks: Arc<ShardedChunkStore>,
+    pub(crate) chunks: Arc<ChunkStore>,
     pub(crate) registry: ClassRegistry,
     pub(crate) state: Mutex<StoreState>,
     cache_shards: Vec<Mutex<CacheShard>>,
@@ -283,23 +283,10 @@ impl CacheStats {
 const ROOTS_MAGIC: u32 = 0x54_44_42_52; // "TDBR"
 
 impl ObjectStore {
-    /// Create an object store over a **fresh** chunk store. Reserves chunk
-    /// id 0 for the persistent root registry.
+    /// Create an object store over a **fresh** chunk store (of any shard
+    /// count). Reserves chunk id 0 for the persistent root registry.
     pub fn create(
         chunks: Arc<ChunkStore>,
-        registry: ClassRegistry,
-        cfg: ObjectStoreConfig,
-    ) -> Result<Self> {
-        Self::create_sharded(
-            Arc::new(ShardedChunkStore::from_single(chunks)),
-            registry,
-            cfg,
-        )
-    }
-
-    /// Create an object store over a fresh, possibly sharded chunk store.
-    pub fn create_sharded(
-        chunks: Arc<ShardedChunkStore>,
         registry: ClassRegistry,
         cfg: ObjectStoreConfig,
     ) -> Result<Self> {
@@ -324,19 +311,6 @@ impl ObjectStore {
         registry: ClassRegistry,
         cfg: ObjectStoreConfig,
     ) -> Result<Self> {
-        Self::open_sharded(
-            Arc::new(ShardedChunkStore::from_single(chunks)),
-            registry,
-            cfg,
-        )
-    }
-
-    /// Open an object store over an existing, possibly sharded chunk store.
-    pub fn open_sharded(
-        chunks: Arc<ShardedChunkStore>,
-        registry: ClassRegistry,
-        cfg: ObjectStoreConfig,
-    ) -> Result<Self> {
         let roots_chunk = ChunkId(0);
         let bytes = chunks.read(roots_chunk)?;
         let roots = Self::unpickle_roots(&bytes)?;
@@ -346,7 +320,7 @@ impl ObjectStore {
     }
 
     fn build(
-        chunks: Arc<ShardedChunkStore>,
+        chunks: Arc<ChunkStore>,
         registry: ClassRegistry,
         mut cfg: ObjectStoreConfig,
         roots_chunk: ObjectId,
@@ -404,7 +378,7 @@ impl ObjectStore {
     pub(crate) fn persist_roots_into(
         roots: &HashMap<String, ObjectId>,
         roots_chunk: ObjectId,
-        batch: &mut chunk_store::ShardedWriteBatch,
+        batch: &mut chunk_store::WriteBatch,
     ) -> Result<()> {
         let mut w = Pickler::new();
         w.u32(ROOTS_MAGIC);
@@ -427,7 +401,7 @@ impl ObjectStore {
     pub(crate) fn apply_root_updates(
         &self,
         updates: &HashMap<String, Option<ObjectId>>,
-        batch: &mut chunk_store::ShardedWriteBatch,
+        batch: &mut chunk_store::WriteBatch,
     ) -> Result<Vec<(String, Option<ObjectId>)>> {
         let mut state = self.inner.state.lock();
         let mut undo = Vec::with_capacity(updates.len());
@@ -502,10 +476,8 @@ impl ObjectStore {
         names
     }
 
-    /// The underlying (sharded) chunk store — for snapshots, backups,
-    /// stats. At shard count 1 this is a transparent wrapper around the
-    /// plain [`ChunkStore`].
-    pub fn chunk_store(&self) -> &Arc<ShardedChunkStore> {
+    /// The underlying chunk store — for snapshots, backups, stats.
+    pub fn chunk_store(&self) -> &Arc<ChunkStore> {
         &self.inner.chunks
     }
 

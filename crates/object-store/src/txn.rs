@@ -6,7 +6,7 @@ use crate::locks::LockMode;
 use crate::refs::{ReadonlyRef, WritableRef};
 use crate::store::{ObjectCell, ObjectStore};
 use crate::{ChunkId, ObjectId, Persistent};
-use chunk_store::{Durability, ShardedWriteBatch};
+use chunk_store::{Durability, WriteBatch};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::marker::PhantomData;
@@ -57,7 +57,7 @@ pub struct Transaction {
     /// This transaction's private chunk staging area. Ids allocate from it
     /// and pickled objects stage into it, so concurrent transactions never
     /// share write state; `None` once commit has consumed it.
-    batch: Mutex<Option<ShardedWriteBatch>>,
+    batch: Mutex<Option<WriteBatch>>,
 }
 
 impl Transaction {

@@ -5,10 +5,9 @@
 //! trace window + per-thread last-event table), the watchdog's stalled-op
 //! list, and one state section per registered *provider*. Providers are how
 //! lower layers contribute store-specific state without this crate knowing
-//! about them: each chunk store (and the sharded coordinator) registers a
-//! closure that reports its anchor/counter/free-segment state and registry
-//! snapshot; dead providers (dropped stores) are pruned automatically via
-//! `Weak`.
+//! about them: each chunk-store shard registers a closure that reports its
+//! anchor/counter/free-segment state and registry snapshot; dead providers
+//! (dropped stores) are pruned automatically via `Weak`.
 //!
 //! Dumps are written to `TDB_DIAG_DIR` (or a runtime override); when no
 //! directory is configured, [`write_dump`] returns `Ok(None)` and callers
@@ -142,7 +141,9 @@ static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Write `dump` as pretty JSON to the diag directory, creating it if
 /// needed. Returns the path, or `Ok(None)` when no directory is
-/// configured. `slug` goes into the filename (sanitised).
+/// configured. `slug` goes into the filename (sanitised). The dump is
+/// written and synced under a dot-prefixed temporary name and then renamed,
+/// so a reader polling for `tdb-diag-*.json` only ever sees complete files.
 pub fn write_dump(dump: &Json, slug: &str) -> std::io::Result<Option<PathBuf>> {
     let Some(dir) = diag_dir() else {
         return Ok(None);
@@ -158,13 +159,17 @@ pub fn write_dump(dump: &Json, slug: &str) -> std::io::Result<Option<PathBuf>> {
         .take(40)
         .collect();
     let seq = DUMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!(
+    let name = format!(
         "tdb-diag-{unix_ms}-p{}-{seq}-{slug}.json",
         std::process::id()
-    ));
-    let mut f = std::fs::File::create(&path)?;
+    );
+    let tmp = dir.join(format!(".{name}.tmp"));
+    let path = dir.join(name);
+    let mut f = std::fs::File::create(&tmp)?;
     f.write_all(dump.pretty().as_bytes())?;
     f.sync_all()?;
+    std::fs::rename(&tmp, &path)?;
+    std::fs::File::open(&dir)?.sync_all()?;
     Ok(Some(path))
 }
 

@@ -84,8 +84,8 @@ pub use tdb_core::{Durability, Error, ErrorKind};
 pub use backup_store::{BackupError, BackupManager};
 pub use chunk_store::Proven;
 pub use chunk_store::{
-    ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, RecoveryReport, SecurityMode,
-    ShardedChunkStore, ShardedSnapshot, Snapshot, SnapshotDiff, StatsSnapshot,
+    ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, RecoveryReport, SecurityMode, Snapshot,
+    SnapshotDiff, StatsSnapshot,
 };
 pub use collection_store::{
     CIter, CTransaction, Collection, CollectionError, CollectionStore, ExtractorFn,
@@ -250,10 +250,8 @@ impl Database {
         cfg: DatabaseConfig,
     ) -> Result<Self> {
         let security = cfg.chunk.security;
-        let chunks = Arc::new(ShardedChunkStore::create(
-            untrusted, secret, counter, cfg.chunk,
-        )?);
-        let collections = CollectionStore::create_sharded(chunks, classes, extractors, cfg.object)?;
+        let chunks = Arc::new(ChunkStore::create(untrusted, secret, counter, cfg.chunk)?);
+        let collections = CollectionStore::create(chunks, classes, extractors, cfg.object)?;
         Ok(Database {
             collections,
             security,
@@ -271,10 +269,8 @@ impl Database {
         cfg: DatabaseConfig,
     ) -> Result<Self> {
         let security = cfg.chunk.security;
-        let chunks = Arc::new(ShardedChunkStore::open(
-            untrusted, secret, counter, cfg.chunk,
-        )?);
-        let collections = CollectionStore::open_sharded(chunks, classes, extractors, cfg.object)?;
+        let chunks = Arc::new(ChunkStore::open(untrusted, secret, counter, cfg.chunk)?);
+        let collections = CollectionStore::open(chunks, classes, extractors, cfg.object)?;
         Ok(Database {
             collections,
             security,
@@ -290,7 +286,7 @@ impl Database {
         extractors: ExtractorRegistry,
         cfg: DatabaseConfig,
     ) -> Result<Self> {
-        let exists = ShardedChunkStore::database_exists(untrusted.as_ref()).unwrap_or(false);
+        let exists = ChunkStore::database_exists(untrusted.as_ref()).unwrap_or(false);
         if exists {
             Self::open(untrusted, secret, counter, classes, extractors, cfg)
         } else {
@@ -314,10 +310,8 @@ impl Database {
         self.collections.object_store()
     }
 
-    /// The (sharded) chunk store. At shard count 1 — the default — it is a
-    /// transparent wrapper around the single underlying [`ChunkStore`],
-    /// reachable via [`ShardedChunkStore::unsharded`].
-    pub fn chunk_store(&self) -> &Arc<ShardedChunkStore> {
+    /// The chunk store (one shard by default).
+    pub fn chunk_store(&self) -> &Arc<ChunkStore> {
         self.collections.chunk_store()
     }
 
@@ -377,7 +371,7 @@ impl Database {
 
     /// Restore the latest backup chain from `archive` onto fresh platform
     /// substrates and open the result: device migration in one call. The
-    /// untrusted store must be empty.
+    /// untrusted store must be empty, and `cfg` must ask for one shard.
     #[allow(clippy::too_many_arguments)]
     pub fn restore_latest_from(
         archive: &dyn ArchivalStore,
@@ -388,11 +382,7 @@ impl Database {
         extractors: ExtractorRegistry,
         cfg: DatabaseConfig,
     ) -> Result<Self> {
-        if cfg.chunk.shards != 1 {
-            return Err(TdbError::Chunk(ChunkStoreError::ConfigMismatch(
-                "restore targets an unsharded database; set shards = 1".into(),
-            )));
-        }
+        require_one_shard("restore_latest_from", cfg.chunk.shards)?;
         let security = cfg.chunk.security;
         let chunks = Arc::new(ChunkStore::create(untrusted, secret, counter, cfg.chunk)?);
         BackupManager::restore_latest(archive, secret, security, &chunks)?;
@@ -412,4 +402,20 @@ impl Database {
     ) -> Result<BackupManager> {
         Ok(BackupManager::new(archive, secret, self.security)?)
     }
+}
+
+/// The one refusal of every backup and restore entry point
+/// ([`Database::restore_latest_from`] and the session's `backup_full`,
+/// `backup_incremental` and `restore_latest`): backups speak in the chunk
+/// ids of one log, so a database of several shards is refused here, with
+/// the operation name and the shard count in the message.
+pub(crate) fn require_one_shard(operation: &str, shards: usize) -> Result<()> {
+    if shards == 1 {
+        return Ok(());
+    }
+    Err(TdbError::Chunk(ChunkStoreError::ConfigMismatch(format!(
+        "{operation} requires an unsharded store, but this database has {shards} shards; \
+         per-shard backup/restore is not supported yet — see DESIGN.md \
+         \"Sharding & the root-of-roots\""
+    ))))
 }

@@ -227,7 +227,7 @@ pub trait Session: Send + Sync {
     fn backup_incremental(&self) -> SResult<String>;
     /// Restore is an offline operation (the target store must be empty) —
     /// through a live session this always fails, but it fails with the
-    /// *same* structured error chain as embedded: the `unsharded()` gate
+    /// *same* structured error chain as embedded: the shard-count gate
     /// first (shard count intact), then the offline-restore usage error.
     fn restore_latest(&self) -> SResult<()>;
 }
@@ -336,15 +336,11 @@ impl EmbeddedSession {
         op: &'static str,
         f: impl FnOnce(&mut crate::BackupManager, &chunk_store::ChunkStore) -> crate::Result<R>,
     ) -> SResult<R> {
-        // The unsharded() gate runs first so a sharded database reports
-        // the structured Usage error (operation name + shard count) before
-        // any archive-configuration complaints — and identically through
-        // both backends.
-        let store = self
-            .db
-            .chunk_store()
-            .unsharded(op)
-            .map_err(|e| terr(TdbError::Chunk(e)))?;
+        // The shard-count gate runs first so a sharded database reports the
+        // structured Usage error (operation name + shard count) before any
+        // archive-configuration complaints — and identically through both
+        // backends.
+        crate::require_one_shard(op, self.db.chunk_store().shards()).map_err(terr)?;
         let ctx = self.backup_ctx()?;
         let mut mgr = ctx.manager.lock().expect("backup manager lock poisoned");
         if mgr.is_none() {
@@ -354,7 +350,11 @@ impl EmbeddedSession {
                     .map_err(terr)?,
             );
         }
-        f(mgr.as_mut().expect("manager installed above"), store).map_err(terr)
+        f(
+            mgr.as_mut().expect("manager installed above"),
+            self.db.chunk_store(),
+        )
+        .map_err(terr)
     }
 }
 
@@ -423,16 +423,13 @@ impl Session for EmbeddedSession {
     }
 
     fn restore_latest(&self) -> SResult<()> {
-        self.db
-            .chunk_store()
-            .unsharded("restore_latest")
-            .map_err(|e| terr(TdbError::Chunk(e)))?;
+        crate::require_one_shard("restore_latest", self.db.chunk_store().shards()).map_err(terr)?;
         Err(restore_is_offline())
     }
 }
 
 /// The error both backends return for `restore_latest` on an unsharded
-/// live database (the sharded case fails earlier, in `unsharded()`).
+/// live database (the sharded case fails earlier, at the shard-count gate).
 pub(crate) fn restore_is_offline() -> Error {
     Error::new(
         ErrorKind::Usage,

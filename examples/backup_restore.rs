@@ -117,9 +117,7 @@ fn main() {
     // Nightly full backup to the archival store.
     let archive = Arc::new(MemArchive::new());
     let mut mgr = db.backup_manager(archive.clone(), &secret).unwrap();
-    let full = mgr
-        .backup_full(db.chunk_store().unsharded("backup_full").unwrap())
-        .unwrap();
+    let full = mgr.backup_full(db.chunk_store()).unwrap();
     println!(
         "full backup:        {full} ({} bytes)",
         archive.len_of(&full).unwrap()
@@ -138,9 +136,7 @@ fn main() {
     it.close().unwrap();
     drop(books);
     t.commit(Durability::Durable).unwrap();
-    let incr = mgr
-        .backup_incremental(db.chunk_store().unsharded("backup_incremental").unwrap())
-        .unwrap();
+    let incr = mgr.backup_incremental(db.chunk_store()).unwrap();
     println!(
         "incremental backup: {incr} ({} bytes — snapshot-diff pruned)",
         archive.len_of(&incr).unwrap()

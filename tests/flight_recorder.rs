@@ -252,6 +252,52 @@ fn manual_diagnostics_capture_store_state() {
     obs::diag::set_diag_dir(None);
 }
 
+/// A dump appears under its final `tdb-diag-*.json` name only once it is
+/// complete: a reader polling the directory while dumps are written never
+/// sees a file that fails to parse (the cause of the old flake in
+/// `injected_commit_stall_produces_diagnostic_dump`, which polls the same
+/// way).
+#[test]
+fn polling_readers_only_ever_see_complete_dumps() {
+    let _g = global_lock();
+    let dir = tempfile::tempdir().unwrap();
+    obs::diag::set_diag_dir(Some(dir.path().to_path_buf()));
+    // Large enough that writing one takes many syscalls.
+    let dump = obs::Json::array((0..20_000u64).map(obs::Json::from));
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let seen = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            // `read_dumps` parses every `tdb-diag-*.json` it lists.
+            let mut seen = 0;
+            while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                for d in read_dumps(dir.path()) {
+                    assert_eq!(d.as_arr().map(<[obs::Json]>::len), Some(20_000));
+                    seen += 1;
+                }
+            }
+            seen
+        });
+        for _ in 0..16 {
+            obs::diag::write_dump(&dump, "torn-read").unwrap().unwrap();
+        }
+        stop.store(true, std::sync::atomic::Ordering::Release);
+        reader.join().unwrap()
+    });
+    assert!(seen > 0, "the reader never saw a dump");
+    let names: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(
+        names.len(),
+        16,
+        "no temporary file is left behind: {names:?}"
+    );
+    assert!(names.iter().all(|n| n.starts_with("tdb-diag-")));
+    obs::diag::set_diag_dir(None);
+}
+
 /// Regression for the lost stall wakeup: committers on a fixed-size log
 /// (growth disabled) that constantly overrun the free watermarks must make
 /// progress round after round. Before the epoch-based stall protocol, a

@@ -250,14 +250,11 @@ fn backup_cycle_through_facade() {
 
     let archive = Arc::new(MemArchive::new());
     let mut mgr = db.backup_manager(archive.clone(), &secret).unwrap();
-    mgr.backup_full(db.chunk_store().unsharded("backup_full").unwrap())
-        .unwrap();
+    mgr.backup_full(db.chunk_store()).unwrap();
     bump(&db, 7, 100);
-    mgr.backup_incremental(db.chunk_store().unsharded("backup_incremental").unwrap())
-        .unwrap();
+    mgr.backup_incremental(db.chunk_store()).unwrap();
     bump(&db, 8, 100);
-    mgr.backup_incremental(db.chunk_store().unsharded("backup_incremental").unwrap())
-        .unwrap();
+    mgr.backup_incremental(db.chunk_store()).unwrap();
 
     let (classes, extractors) = registries();
     let restored = Database::restore_latest_from(

@@ -175,34 +175,56 @@ fn sharded_backup_gating_is_identical_through_both_backends() {
     let archive = Arc::new(MemArchive::new());
     let secret = Arc::new(MemSecretStore::from_label("parity-backup"));
 
-    // Two shards: every backup/restore entry point must fail the
-    // unsharded() gate with the operation name and shard count intact.
+    // Two shards: every backup/restore entry point must fail the one
+    // shard-count gate with the operation name and shard count intact.
     let embedded = EmbeddedSession::with_backup(open_db(2), archive.clone(), secret.clone());
     let emb_full = expect_err(embedded.backup_full(), "sharded backup_full");
     let emb_incr = expect_err(embedded.backup_incremental(), "sharded backup_incremental");
     let emb_restore = expect_err(embedded.restore_latest(), "sharded restore");
 
-    let (server, remote) = serve(EmbeddedSession::with_backup(open_db(2), archive, secret));
+    let (server, remote) = serve(EmbeddedSession::with_backup(
+        open_db(2),
+        archive.clone(),
+        secret.clone(),
+    ));
     let rem_full = expect_err(remote.backup_full(), "remote backup_full");
     let rem_incr = expect_err(remote.backup_incremental(), "remote backup_incremental");
     let rem_restore = expect_err(remote.restore_latest(), "remote restore");
 
-    for (emb, rem) in [
-        (emb_full, rem_full),
-        (emb_incr, rem_incr),
-        (emb_restore, rem_restore),
+    // The offline restore has no wire form; it goes through the same gate.
+    let mut cfg = tdb::DatabaseConfig::default();
+    cfg.chunk.shards = 2;
+    let from = match tdb::Database::restore_latest_from(
+        &*archive,
+        Arc::new(tdb::platform::MemStore::new()),
+        &*secret,
+        Arc::new(tdb::platform::VolatileCounter::new()),
+        classes(),
+        extractors(),
+        cfg,
+    ) {
+        Err(e) => Error::from(e),
+        Ok(_) => panic!("restore_latest_from must refuse two shards"),
+    };
+
+    // One structured error: Usage, the shard count, the operation's own
+    // name — and, with the name masked, the same message for all four.
+    let same_shape = |op: &str, e: &Error| {
+        assert_eq!(e.kind(), ErrorKind::Usage, "unexpected: {e}");
+        let msg = e.to_string();
+        assert!(msg.contains("2 shards"), "shard count missing from: {msg}");
+        assert!(msg.contains(op), "operation name missing from: {msg}");
+        msg.replace(op, "<op>")
+    };
+    let shape = same_shape("restore_latest_from", &from);
+    for (op, emb, rem) in [
+        ("backup_full", emb_full, rem_full),
+        ("backup_incremental", emb_incr, rem_incr),
+        ("restore_latest", emb_restore, rem_restore),
     ] {
-        assert_eq!(emb.kind(), ErrorKind::Usage, "unexpected: {emb}");
-        assert!(
-            emb.to_string().contains('2'),
-            "shard count missing from: {emb}"
-        );
+        assert_eq!(same_shape(op, &emb), shape);
         assert_same_error(emb, rem);
     }
-    // The operation names survive the trip.
-    assert!(expect_err(remote.backup_full(), "remote backup_full")
-        .to_string()
-        .contains("backup_full"));
 
     drop(remote);
     server.shutdown();
