@@ -439,8 +439,13 @@ fn main() {
         push_result(&mut doc, result_row("TDB-mt", mt_report, Some(mt_obs)));
     }
     if let Some((r, s, obs, per_shard)) = sharded {
+        let cross = obs.counters.get("xshard.commits").copied().unwrap_or(0);
         let mut row = result_row("TDB-sharded", &r, Some(&obs));
         row.push("shards", shards as u64);
+        row.push(
+            "cross_shard_fraction",
+            cross as f64 / r.transactions.max(1) as f64,
+        );
         row.push("per_shard", per_shard);
         row.push("maintenance", maintenance_json(&s));
         push_result(&mut doc, row);

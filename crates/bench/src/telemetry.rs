@@ -115,7 +115,9 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
 ///   `proof_bytes_mean`, `deferred_p50_ratio`, ...) must be numeric when
 ///   present;
 /// - any `shards` field in a result row is a positive integer (chunk-store
-///   shards the row was measured with; unsharded rows omit it);
+///   shards the row was measured with; unsharded rows omit it), and any
+///   `cross_shard_fraction` a number in [0, 1] (the share of measured
+///   transactions that committed across shards);
 /// - any `connections` field in a result row is a positive integer
 ///   (concurrent client connections a server row was measured with) and
 ///   any `group_size_mean` is numeric (mean commits amortized per durable
@@ -161,6 +163,13 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
                 }
                 "shards" if v.as_u64().filter(|s| *s >= 1).is_none() => {
                     return Err(format!("results[{i}]: shards not a positive integer"));
+                }
+                "cross_shard_fraction"
+                    if v.as_f64().filter(|f| (0.0..=1.0).contains(f)).is_none() =>
+                {
+                    return Err(format!(
+                        "results[{i}]: cross_shard_fraction not a number in [0, 1]"
+                    ));
                 }
                 "connections" if v.as_u64().filter(|c| *c >= 1).is_none() => {
                     return Err(format!("results[{i}]: connections not a positive integer"));

@@ -55,6 +55,9 @@ use tdb_platform::{OneWayCounter, SecretStore, UntrustedStore};
 pub(crate) struct Batch {
     pub(crate) ops: BTreeMap<u64, Option<Vec<u8>>>,
     pub(crate) allocated: Vec<u64>,
+    /// A write sealed after every op in `ops`, so it lands in the batch's
+    /// final record group (see [`ShardBatch::write_last`]).
+    last: Option<(u64, Vec<u8>)>,
 }
 
 /// A chunk record sealed ahead of the log append — encoding, encryption,
@@ -717,11 +720,13 @@ impl StoreCore {
     fn seal_ops(
         &self,
         ops: BTreeMap<u64, Option<Vec<u8>>>,
+        last: Option<(u64, Vec<u8>)>,
         lap: &mut CommitLap,
     ) -> (Vec<SealedOp>, Vec<u8>) {
         let mut arena: Vec<u8> = Vec::new();
-        let mut sealed_ops = Vec::with_capacity(ops.len());
-        for (raw_id, op) in ops {
+        let mut sealed_ops = Vec::with_capacity(ops.len() + 1);
+        let last = last.map(|(id, data)| (id, Some(data)));
+        for (raw_id, op) in ops.into_iter().chain(last) {
             let id = ChunkId(raw_id);
             match op {
                 Some(data) => {
@@ -760,17 +765,19 @@ impl StoreCore {
         (sealed_ops, arena)
     }
 
-    /// Seal and append `ops` as one atomic commit; returns the ticket for
-    /// [`StoreCore::wait_ticket`]. For nondurable commits the log is
-    /// flushed (not synced) before returning, matching §3.2.2.
+    /// Seal and append `ops`, then `last`, as one atomic commit; returns
+    /// the ticket for [`StoreCore::wait_ticket`]. For nondurable commits
+    /// the log is flushed (not synced) before returning, matching §3.2.2.
     fn append_ops(
         &self,
         ops: BTreeMap<u64, Option<Vec<u8>>>,
+        last: Option<(u64, Vec<u8>)>,
         durable: bool,
     ) -> Result<ShardTicket> {
         let sampled = self.sample_phases();
         let total = sampled_stopwatch(sampled);
-        if ops.is_empty() {
+        let n_ops = ops.len() + usize::from(last.is_some());
+        if n_ops == 0 {
             return Ok(ShardTicket {
                 seq: 0,
                 empty: true,
@@ -787,11 +794,11 @@ impl StoreCore {
             TraceLayer::Chunk,
             TraceKind::CommitBegin,
             0,
-            ops.len() as u64,
+            n_ops as u64,
             durable as u64,
         );
         let mut lap = CommitLap::new(sampled);
-        let (sealed_ops, arena) = self.seal_ops(ops, &mut lap);
+        let (sealed_ops, arena) = self.seal_ops(ops, last, &mut lap);
         let mut consumed = 0usize;
         let seq = loop {
             let res = {
@@ -1272,6 +1279,17 @@ impl ShardBatch {
         self.core.inner.lock().read_with(&self.staged, cid)
     }
 
+    /// Stage a write of `cid` sealed after every other staged operation,
+    /// so it lands in the batch's final record group: an append that fails
+    /// part-way can leave its earlier groups committed, never this write
+    /// without them.
+    pub(crate) fn write_last(&mut self, cid: ChunkId, bytes: &[u8]) -> Result<()> {
+        self.write(cid, bytes)?;
+        let staged = self.staged.ops.remove(&cid.0).flatten();
+        self.staged.last = staged.map(|bytes| (cid.0, bytes));
+        Ok(())
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.staged.ops.is_empty()
     }
@@ -1477,11 +1495,12 @@ impl Shard {
         durability: Durability,
     ) -> Result<ShardTicket> {
         let ops = std::mem::take(&mut batch.staged.ops);
+        let last = batch.staged.last.take();
         // Allocations become permanent at commit (even a failed append may
         // have committed earlier record groups, so ids never return to the
         // free pool here).
         batch.staged.allocated.clear();
-        self.core.append_ops(ops, durability.is_durable())
+        self.core.append_ops(ops, last, durability.is_durable())
     }
 
     /// Block until the ticket's commit records are durable (joining or
@@ -1778,7 +1797,7 @@ impl Shard {
         for id in removes {
             ops.insert(id.0, None);
         }
-        let ticket = self.core.append_ops(ops, true)?;
+        let ticket = self.core.append_ops(ops, None, true)?;
         self.core.wait_ticket(ticket)
     }
 

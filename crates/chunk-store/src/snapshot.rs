@@ -41,6 +41,9 @@ pub(crate) struct SnapCore {
 pub struct Snapshot {
     pub(crate) layout: Layout,
     pub(crate) parts: Vec<ShardSnapshot>,
+    /// Global ids of the cross-shard coordination records registered when
+    /// the snapshot was taken: store bookkeeping, not listed.
+    pub(crate) bookkeeping: Vec<ChunkId>,
 }
 
 impl Snapshot {
@@ -62,10 +65,9 @@ impl Snapshot {
     pub fn chunk_ids(&self) -> Vec<ChunkId> {
         let mut ids = Vec::new();
         for (s, part) in self.parts.iter().enumerate() {
-            part.for_each_location(&mut |local, _| {
-                if let Some(id) = self.layout.unroute(s, local) {
-                    ids.push(id);
-                }
+            part.for_each_location(&mut |local, _| match self.layout.unroute(s, local) {
+                Some(id) if !self.bookkeeping.contains(&id) => ids.push(id),
+                _ => {}
             });
         }
         ids

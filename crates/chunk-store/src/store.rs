@@ -41,10 +41,10 @@
 //! between shards fail authentication instead of decoding in the wrong
 //! namespace. Global chunk id `g` routes to shard `g % N`, local id
 //! `g / N + 1`; local id 0 of every shard is reserved (shard 0: the
-//! cross-shard coordination directory; shards ≥ 1: a ring of recently
-//! applied cross-shard transaction ids used to make recovery redo
-//! idempotent). With `N = 1` the same formula without the `+ 1` is the
-//! identity.
+//! cross-shard coordination directory; shards ≥ 1: the *witness*, the
+//! ids of the registered cross-shard transactions the shard has applied,
+//! which makes recovery redo idempotent). With `N = 1` the same formula
+//! without the `+ 1` is the identity.
 //!
 //! # Cross-shard commits
 //!
@@ -54,12 +54,19 @@
 //! writes is committed durably on shard 0 — atomically with shard 0's own
 //! data and with a directory entry registering the record — and this
 //! commit is the transaction's commit point; **(B)** each participant
-//! shard's writes are appended together with its witness-ring update.
-//! Recovery reads the directory and *re-applies* any registered
-//! transaction to participants whose ring does not yet witness it, so a
-//! crash between (A) and (B) converges to all; a crash before (A) leaves
-//! no trace. Cross-shard transactions are always durable — a lazy
-//! cross-shard commit could be half-lost and is silently upgraded.
+//! shard appends its writes with its new witness in the same batch, the
+//! witness sealed last so it lands in the final record group. Recovery
+//! reads the directory and *re-applies* any registered transaction to
+//! participants that do not witness it, so a crash between (A) and (B)
+//! converges to all; a crash before (A) leaves no trace. Cross-shard
+//! transactions are always durable — a lazy cross-shard commit could be
+//! half-lost and is silently upgraded.
+//!
+//! Once every participant of a transaction is durable it is *completed*
+//! (noted in memory); the next phase (A) drops completed transactions from
+//! the directory and frees their records inside the batch it writes
+//! anyway. A witness therefore keeps only its own transaction and those
+//! the directory still registers — a handful of ids, never a history.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -90,17 +97,13 @@ const RR_MAGIC: [u8; 8] = *b"TDBRR001";
 const RR_SLOTS: [&str; 2] = ["rr.a", "rr.b"];
 /// Key-derivation domain of the root-of-roots crypto context.
 const RR_DOMAIN: &str = "tdb.rootofroots";
-/// Upper bound on entries kept in a participant shard's
-/// applied-transaction witness ring; [`ring_cap_for`] may shrink it so
-/// the encoded ring always fits in one chunk of the shard's configuration.
-const RING_CAP: usize = 1024;
 /// Attempts to complete a participant's phase (B) through the redo path
 /// after its append failed, before giving up until the next open.
 const PHASE_B_RETRIES: usize = 100;
 /// Pause between those attempts, long enough for snapshot pins to drain
 /// and maintenance to reclaim segments.
 const PHASE_B_BACKOFF: std::time::Duration = std::time::Duration::from_millis(10);
-/// Reserved local chunk id (directory on shard 0, witness ring elsewhere).
+/// Reserved local chunk id (directory on shard 0, witness elsewhere).
 const RESERVED: ChunkId = ChunkId(0);
 
 // ---------------------------------------------------------------------
@@ -337,7 +340,7 @@ impl Combiner {
     }
 
     /// Begin a new open generation — cross-shard transaction ids must
-    /// never repeat across reopens, because witness rings persist: persist
+    /// never repeat across reopens, because witnesses persist: persist
     /// the next record, then bump the hardware counter.
     fn start(
         ctx: CryptoCtx,
@@ -461,26 +464,19 @@ fn decode<'a, T>(
         .map_err(|m| tamper(&format!("{what}: {}", m.0)))
 }
 
-/// Largest witness-ring length whose [`enc_ring`] encoding still fits in
-/// one chunk of `max_chunk` bytes, capped at [`RING_CAP`]. The ring only
-/// shields *recent* transactions from being re-applied by redo, so a
-/// smaller window on small-segment configurations is a pure narrowing:
-/// directory entries outlive their ring entries only across a crash
-/// window of in-flight transactions, which is far shorter than any cap.
-fn ring_cap_for(max_chunk: usize) -> usize {
-    (max_chunk.saturating_sub(4) / 8).clamp(1, RING_CAP)
-}
-
-/// Add `xid` to the ring if absent and evict the oldest entries beyond
-/// `cap`. Idempotent so retries and redo can re-run it safely.
-fn ring_push(ring: &mut Vec<u64>, xid: u64, cap: usize) {
-    if !ring.contains(&xid) {
-        ring.push(xid);
-    }
-    if ring.len() > cap {
-        let drop_n = ring.len() - cap;
-        ring.drain(..drop_n);
-    }
+/// A participant's witness once it has applied `xid`: `xid` plus the ids
+/// of its `current` witness that the directory still registers (`live`,
+/// the directory phase (A) has made durable). Ids the directory dropped
+/// are never redone again, so they need no witness; any id it still
+/// holds is kept, so redo never re-applies an older post-image over a
+/// later commit. Idempotent, so retries and redo can re-run it.
+fn next_witness(current: &[u8], xid: u64, live: &[u64]) -> Result<Vec<u64>> {
+    let mut witness: Vec<u64> = dec_ring(current)?
+        .into_iter()
+        .filter(|x| *x != xid && live.contains(x))
+        .collect();
+    witness.push(xid);
+    Ok(witness)
 }
 
 fn enc_ring(xids: &[u64]) -> Vec<u8> {
@@ -500,7 +496,7 @@ fn vec_for<T>(c: &Cursor<'_>, n: usize, min_entry: usize) -> Vec<T> {
 }
 
 fn dec_ring(bytes: &[u8]) -> Result<Vec<u64>> {
-    decode("witness ring", bytes, |c| {
+    decode("witness", bytes, |c| {
         let n = c.u32()? as usize;
         let mut out = vec_for(c, n, 8);
         for _ in 0..n {
@@ -725,9 +721,18 @@ pub struct ChunkStore {
     /// hardware counter directly.
     combiner: Option<Arc<Combiner>>,
     /// Cross-shard commit lock. Writers hold it exclusively across phases
-    /// (A)+(B) and the directory-pruning cleanup; snapshots hold it shared,
-    /// so no snapshot observes a cross-shard transaction half-applied.
-    xlock: RwLock<()>,
+    /// (A)+(B); snapshots hold it shared, so no snapshot observes a
+    /// cross-shard transaction half-applied. It guards the global ids of
+    /// the coordination-record chunks the directory registers — store
+    /// bookkeeping that snapshots do not list.
+    xlock: RwLock<Vec<ChunkId>>,
+    /// Cross-shard transactions whose participants are all durable; the
+    /// next phase (A) drops them from the directory.
+    completed: Mutex<Vec<u64>>,
+    /// `xshard.commits` and `xshard.redos` (participants completed through
+    /// redo) in the merged registry; detached with one shard.
+    xcommits: tdb_obs::Counter,
+    xredos: tdb_obs::Counter,
     /// Round-robin allocation cursor (see [`Layout::next_shard`]).
     cursor: Arc<AtomicUsize>,
     /// What [`obs`](Self::obs) returns: the one shard's own registry, or a
@@ -800,11 +805,10 @@ pub struct CommitTicket {
     durable: bool,
     /// The touched shards' tickets in commit order (for a cross-shard
     /// commit: the already durable commit point on shard 0 first, then
-    /// each participant's data and witness-ring commits).
+    /// each participant's commit).
     tickets: Vec<(usize, ShardTicket)>,
-    /// A cross-shard commit's transaction id and coordination-record
-    /// chunks, pruned from shard 0's directory once it is durable.
-    cross: Option<(u64, Vec<u64>)>,
+    /// A cross-shard commit's transaction id, completed once it is durable.
+    cross: Option<u64>,
 }
 
 impl CommitTicket {
@@ -851,7 +855,7 @@ impl ChunkStore {
         let store = Self::assemble(untrusted, secret, counter, cfg, combiner, Shard::create)?;
         if store.shards.len() > 1 {
             // Reserve local chunk 0 on every shard: the coordination
-            // directory on shard 0, the cross-shard witness ring elsewhere.
+            // directory on shard 0, the cross-shard witness elsewhere.
             for (k, shard) in store.shards.iter().enumerate() {
                 let mut b = shard.begin_batch();
                 let id = b.allocate_chunk_id()?;
@@ -943,36 +947,46 @@ impl ChunkStore {
                 )?,
             });
         }
-        let obs = if n == 1 {
-            shards[0].obs()
+        let (obs, xcommits, xredos) = if n == 1 {
+            (
+                shards[0].obs(),
+                tdb_obs::Counter::new(),
+                tdb_obs::Counter::new(),
+            )
         } else {
             let merged = Arc::new(tdb_obs::Registry::new());
             for (k, s) in shards.iter().enumerate() {
                 s.set_diag_label(format!("shard{k}"));
                 merged.adopt_all_prefixed(&s.obs(), &format!("shard{k}."));
             }
-            merged
+            let xcommits = merged.counter("xshard.commits");
+            let xredos = merged.counter("xshard.redos");
+            (merged, xcommits, xredos)
         };
         Ok(ChunkStore {
             shards,
             layout: Layout::for_shards(n),
             combiner,
-            xlock: RwLock::new(()),
+            xlock: RwLock::new(Vec::new()),
+            completed: Mutex::new(Vec::new()),
+            xcommits,
+            xredos,
             cursor: Arc::new(AtomicUsize::new(0)),
             obs,
         })
     }
 
     /// Complete cross-shard transactions the directory registers but some
-    /// participant's witness ring does not yet contain. Redo applies full
-    /// post-images, so it is idempotent and insensitive to how far phase
-    /// (B) got before the crash.
+    /// participant does not witness. Redo applies full post-images, so it
+    /// is idempotent and insensitive to how far phase (B) got before the
+    /// crash.
     fn redo_cross_shard(&self) -> Result<()> {
         let coordinator = &self.shards[0];
         let dir = dec_dir(&coordinator.read(RESERVED)?)?;
         if dir.is_empty() {
             return Ok(());
         }
+        let live: Vec<u64> = dir.iter().map(|(xid, _)| *xid).collect();
         for (xid, coord_ids) in &dir {
             let mut record = Vec::new();
             for id in coord_ids {
@@ -992,7 +1006,8 @@ impl ChunkStore {
                     continue;
                 }
                 trace::emit(TraceLayer::Shard, TraceKind::XRedo, *xid, s as u64, 0);
-                apply_participant_redo(shard, *xid, sec)?;
+                apply_participant_redo(shard, *xid, sec, &live)?;
+                self.xredos.inc();
             }
         }
         // All transactions are applied everywhere: prune the directory and
@@ -1064,8 +1079,8 @@ impl ChunkStore {
     }
 
     /// The ordered two-phase cross-shard append. Holds the exclusive
-    /// cross-shard lock across both phases so concurrent cross commits,
-    /// snapshots, and directory cleanups serialize against it.
+    /// cross-shard lock across both phases so concurrent cross commits and
+    /// snapshots serialize against it.
     fn append_cross(&self, parts: Vec<ShardBatch>) -> Result<CommitTicket> {
         let combiner = self
             .combiner
@@ -1083,9 +1098,11 @@ impl ChunkStore {
         let record = enc_coord(xid, &sections);
 
         let _op = watchdog::op_begin(watchdog::OpKind::CrossShardCommit, xid);
-        let guard = self.xlock.write();
+        let mut records = self.xlock.write();
         // Phase A: commit the coordination record + directory entry +
-        // shard 0's own data in one durable commit — the commit point.
+        // shard 0's own data in one durable commit — the commit point. The
+        // same batch drops completed transactions from the directory and
+        // frees their records.
         let coordinator = &self.shards[0];
         let mut parts = parts.into_iter();
         let mut b0 = parts.next().expect("every shard has a part");
@@ -1095,10 +1112,23 @@ impl ChunkStore {
             b0.write(id, piece)?;
             coord_ids.push(id.0);
         }
-        let mut dir = dec_dir(&b0.read(RESERVED)?)?;
-        dir.push((xid, coord_ids.clone()));
+        // A completed transaction this batch fails to prune stays in the
+        // directory, witnessed everywhere, until the next open prunes it.
+        let completed = std::mem::take(&mut *self.completed.lock());
+        let (pruned, mut dir): (Vec<_>, Vec<_>) = dec_dir(&b0.read(RESERVED)?)?
+            .into_iter()
+            .partition(|(x, _)| completed.contains(x));
+        for id in pruned.iter().flat_map(|(_, ids)| ids) {
+            b0.deallocate(ChunkId(*id))?;
+        }
+        dir.push((xid, coord_ids));
         b0.write(RESERVED, &enc_dir(&dir))?;
         let t0 = coordinator.append_batch(b0, Durability::Durable)?;
+        *records = dir
+            .iter()
+            .flat_map(|(_, ids)| ids)
+            .filter_map(|id| self.layout.unroute(0, ChunkId(*id)))
+            .collect();
         let seq0 = t0.seq();
         coordinator.wait_durable(t0)?;
         trace::emit(
@@ -1109,40 +1139,50 @@ impl ChunkStore {
             touched as u64,
         );
 
-        // Phase B: append each participant's data, then its witness-ring
-        // entry in a second commit. The ring entry is the participant's
-        // *completion witness*, so it must never land before the data: a
-        // failed multi-group append can leave its earlier record groups
-        // committed, and RESERVED (id 0) sorts first in a batch. Nothing
-        // interleaves between the two appends — the committer still holds
-        // its object-layer locks until this call returns. A participant
-        // whose append fails is completed in-process through the
-        // (idempotent) redo path; only if that keeps failing does the
+        // Phase B: append each participant's data with its new witness in
+        // one batch. The witness says "this shard's data is fully applied",
+        // so it is sealed last: a failed multi-group append can leave its
+        // earlier record groups committed, never the witness without them.
+        // A participant whose append fails is completed in-process through
+        // the (idempotent) redo path; only if that keeps failing does the
         // error escape, and then the next open's redo finishes the job.
+        let live: Vec<u64> = dir.iter().map(|(x, _)| *x).collect();
         let mut tickets = vec![(0, ShardTicket::redeemed(seq0))];
         let mut sections = sections.iter();
-        for (s, part) in (1..).zip(parts) {
+        for (s, mut part) in (1..).zip(parts) {
             if part.is_empty() {
                 continue;
             }
             let sec = sections.next().expect("one section per participant");
             let shard = &self.shards[s];
-            match shard.append_batch(part, Durability::Durable) {
+            let witness = next_witness(&part.read(RESERVED)?, xid, &live)?;
+            trace::emit(
+                TraceLayer::Shard,
+                TraceKind::XWitness,
+                xid,
+                witness.len() as u64,
+                0,
+            );
+            let appended = part
+                .write_last(RESERVED, &enc_ring(&witness))
+                .and_then(|()| shard.append_batch(part, Durability::Durable));
+            match appended {
                 Ok(ts) => tickets.push((s, ts)),
-                Err(e) => retry_phase_b(e, || apply_section_data(shard, sec))?,
-            }
-            match append_ring_entry(shard, xid) {
-                Ok(tr) => tickets.push((s, tr)),
-                Err(e) => retry_phase_b(e, || append_ring_entry(shard, xid).map(drop))?,
+                Err(e) => retry_phase_b(e, || {
+                    apply_participant_redo(shard, xid, sec, &live)?;
+                    self.xredos.inc();
+                    Ok(())
+                })?,
             }
             trace::emit(TraceLayer::Shard, TraceKind::XPhaseB, xid, s as u64, 0);
         }
-        drop(guard);
+        drop(records);
+        self.xcommits.inc();
         Ok(CommitTicket {
             layout: self.layout,
             durable: true,
             tickets,
-            cross: Some((xid, coord_ids)),
+            cross: Some(xid),
         })
     }
 
@@ -1164,13 +1204,15 @@ impl ChunkStore {
         for (s, t) in tickets {
             self.shards[s].wait_durable(t)?;
         }
+        if let Some(xid) = cross {
+            // Every participant is durable: the next phase (A) may drop
+            // the transaction from the directory.
+            self.completed.lock().push(xid);
+        }
         if durable {
             self.harden_others(own)?;
         }
-        match cross {
-            Some((xid, coord_ids)) => self.cleanup(xid, &coord_ids),
-            None => Ok(()),
-        }
+        Ok(())
     }
 
     /// Give every shard but `except` with commits past its last anchor one
@@ -1183,22 +1225,6 @@ impl ChunkStore {
             }
         }
         Ok(())
-    }
-
-    /// Prune a completed transaction from the coordination directory and
-    /// free its record chunks. Runs under the exclusive cross-shard lock;
-    /// losing this lazy commit to a crash only means recovery sees the
-    /// entry again, finds it witnessed everywhere, and re-prunes.
-    fn cleanup(&self, xid: u64, coord_ids: &[u64]) -> Result<()> {
-        let _guard = self.xlock.write();
-        let mut b = self.shards[0].begin_batch();
-        let dir = dec_dir(&b.read(RESERVED)?)?;
-        let dir: Vec<(u64, Vec<u64>)> = dir.into_iter().filter(|(x, _)| *x != xid).collect();
-        b.write(RESERVED, &enc_dir(&dir))?;
-        for id in coord_ids {
-            b.deallocate(ChunkId(*id))?;
-        }
-        self.shards[0].commit_batch(b, Durability::Lazy)
     }
 
     // ---- reads & snapshots ------------------------------------------
@@ -1234,10 +1260,11 @@ impl ChunkStore {
     /// cross-shard transaction is observable). Staged operations are not
     /// included.
     pub fn snapshot(&self) -> Snapshot {
-        let _guard = self.xlock.read();
+        let records = self.xlock.read();
         Snapshot {
             layout: self.layout,
             parts: self.shards.iter().map(Shard::snapshot).collect(),
+            bookkeeping: records.clone(),
         }
     }
 
@@ -1256,17 +1283,28 @@ impl ChunkStore {
         let mut diff = SnapshotDiff::default();
         for (s, shard) in self.shards.iter().enumerate() {
             let part = shard.diff_snapshots(&old.parts[s], &new.parts[s]);
-            let layout = self.layout;
-            diff.changed.extend(
-                part.changed
-                    .into_iter()
-                    .filter_map(|(id, loc)| Some((layout.unroute(s, id)?, loc))),
-            );
-            diff.removed.extend(
-                part.removed
-                    .into_iter()
-                    .filter_map(|id| layout.unroute(s, id)),
-            );
+            let mut removed: Vec<ChunkId> = part
+                .removed
+                .into_iter()
+                .filter_map(|local| self.layout.unroute(s, local))
+                .filter(|id| !old.bookkeeping.contains(id))
+                .collect();
+            for (local, loc) in part.changed {
+                let Some(id) = self.layout.unroute(s, local) else {
+                    continue;
+                };
+                if !new.bookkeeping.contains(&id) {
+                    diff.changed.push((id, loc));
+                } else if !old.bookkeeping.contains(&id)
+                    && old.parts[s].location_of(local).is_some()
+                {
+                    // A chunk freed since `old` now holds a coordination
+                    // record: for the caller it is gone.
+                    removed.push(id);
+                }
+            }
+            removed.sort();
+            diff.removed.extend(removed);
         }
         diff
     }
@@ -1492,7 +1530,8 @@ impl ChunkStore {
     }
 
     /// Live chunks across shards. With several shards this includes the
-    /// reserved bookkeeping chunk of each (directory + witness rings).
+    /// bookkeeping chunks: the reserved one of each shard (directory +
+    /// witnesses) and the coordination records the directory registers.
     pub fn live_chunks(&self) -> u64 {
         self.shards.iter().map(Shard::live_chunks).sum()
     }
@@ -1561,23 +1600,6 @@ impl ChunkStore {
 // Participant steps of a cross-shard commit
 // ---------------------------------------------------------------------
 
-/// Commit `xid` into `shard`'s witness ring as its own durable append,
-/// strictly after the participant's data commit.
-fn append_ring_entry(shard: &Shard, xid: u64) -> Result<ShardTicket> {
-    let mut bs = shard.begin_batch();
-    let mut ring = dec_ring(&bs.read(RESERVED)?)?;
-    ring_push(&mut ring, xid, ring_cap_for(shard.max_chunk_size()));
-    bs.write(RESERVED, &enc_ring(&ring))?;
-    trace::emit(
-        TraceLayer::Shard,
-        TraceKind::XWitness,
-        xid,
-        ring.len() as u64,
-        0,
-    );
-    shard.append_batch(bs, Durability::Durable)
-}
-
 /// Complete a participant step of phase (B) after its append failed with
 /// `first`. The transaction is already durably committed on shard 0, so
 /// the only acceptable outcomes are "done" (possibly after waiting out
@@ -1612,14 +1634,13 @@ fn apply_section_data(shard: &Shard, sec: &CoordSection) -> Result<()> {
     shard.apply_restore_delta(writes, removes)
 }
 
-/// Complete one participant: data first, then the witness-ring entry in
-/// its own commit, in phase (B)'s order, so a ring entry always
-/// means "this shard's data is fully applied".
-fn apply_participant_redo(shard: &Shard, xid: u64, sec: &CoordSection) -> Result<()> {
+/// Complete one participant through redo: data first, then the witness
+/// in its own commit, so a witness always means "this shard's data is
+/// fully applied". `live` are the xids the directory registers.
+fn apply_participant_redo(shard: &Shard, xid: u64, sec: &CoordSection, live: &[u64]) -> Result<()> {
     apply_section_data(shard, sec)?;
-    let mut ring = dec_ring(&shard.read(RESERVED)?)?;
-    ring_push(&mut ring, xid, ring_cap_for(shard.max_chunk_size()));
-    shard.apply_restore_delta(vec![(RESERVED, enc_ring(&ring))], Vec::new())
+    let witness = next_witness(&shard.read(RESERVED)?, xid, live)?;
+    shard.apply_restore_delta(vec![(RESERVED, enc_ring(&witness))], Vec::new())
 }
 
 #[cfg(test)]
@@ -1882,6 +1903,65 @@ mod tests {
         let store = ChunkStore::open(mem, &secret(), counter, cfg(2)).unwrap();
         assert_eq!(store.read(x).unwrap(), b"left");
         assert_eq!(store.read(y).unwrap(), b"right");
+    }
+
+    /// (d) A witness holds its own transaction plus the in-flight ones,
+    /// never a history: at N=4 a shard that sits out most cross commits —
+    /// starting from a full 1 024-entry ring as earlier releases wrote it —
+    /// never holds more than in-flight + 1 entries once it has taken part.
+    #[test]
+    fn witnesses_hold_at_most_in_flight_plus_one_entries() {
+        let cfg = ChunkStoreConfig {
+            shards: 4,
+            segment_size: 64 * 1024,
+            ..ChunkStoreConfig::small_for_tests()
+        };
+        let store = ChunkStore::create(
+            Arc::new(MemStore::new()),
+            &secret(),
+            Arc::new(VolatileCounter::new()),
+            cfg,
+        )
+        .unwrap();
+        let legacy: Vec<u64> = (1..=1024).collect();
+        store.shards[3]
+            .apply_restore_delta(vec![(RESERVED, enc_ring(&legacy))], Vec::new())
+            .unwrap();
+        let witness = |s: usize| dec_ring(&store.shards[s].read(RESERVED).unwrap()).unwrap();
+        let mut b = store.begin_batch();
+        let ids: Vec<ChunkId> = (0..4).map(|_| b.allocate_chunk_id().unwrap()).collect();
+        for id in &ids {
+            b.write(*id, b"init").unwrap();
+        }
+        store.commit_batch(b, Durability::Durable).unwrap();
+        assert_eq!(witness(3).len(), 1, "the legacy ring shrinks at once");
+
+        let mut in_flight = Vec::new();
+        for round in 0..12u8 {
+            // Shard 3 takes part in every fourth transaction only.
+            let touched = if round % 4 == 3 { &ids[..] } else { &ids[..3] };
+            let mut b = store.begin_batch();
+            for id in touched {
+                b.write(*id, &[round]).unwrap();
+            }
+            let ticket = store.append_batch(b, Durability::Durable).unwrap();
+            if round % 5 == 1 {
+                in_flight.push(ticket);
+            } else {
+                store.wait_durable(ticket).unwrap();
+            }
+            for s in 1..4 {
+                let w = witness(s);
+                assert!(
+                    w.len() <= in_flight.len() + 1,
+                    "round {round}: shard {s} witnesses {w:?} with {} in flight",
+                    in_flight.len()
+                );
+            }
+        }
+        for ticket in in_flight {
+            store.wait_durable(ticket).unwrap();
+        }
     }
 
     /// Every decoder of the cross-shard bookkeeping survives hostile bytes:

@@ -399,7 +399,14 @@ impl SessionRead for RemoteRead<'_> {
             index: index.to_string(),
             key: key.clone(),
         })? {
-            Response::ProvenEntries { entries, proof } => Ok(ProvenEntries { entries, proof }),
+            // The query comes from this request, never from the response.
+            Response::ProvenEntries { entries, proof } => Ok(ProvenEntries {
+                entries,
+                proof,
+                coll: coll.to_string(),
+                index: index.to_string(),
+                key: key.clone(),
+            }),
             other => Err(other.into_error()),
         }
     }

@@ -96,29 +96,53 @@ impl ProvenBytes {
     }
 }
 
-/// A proof-carrying index lookup: the matching `(key, id)` entries plus a
-/// keyed (non-)membership proof in wire encoding. An empty entry list is
-/// provably empty.
+/// A proof-carrying exact lookup: the matching `(key, id)` entries plus a
+/// keyed (non-)membership proof in wire encoding, and the query they
+/// answer. An empty entry list is provably empty.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProvenEntries {
     /// Matching entries in committed order.
     pub entries: Vec<(Key, ObjectId)>,
     /// Wire-encoded [`tdb_proof::KeyedProof`].
     pub proof: Vec<u8>,
+    /// The queried collection, index and key. The caller fills these from
+    /// its own arguments, never from a response, so [`verify`](Self::verify)
+    /// checks the proof answers the question that was asked.
+    pub coll: String,
+    /// See [`coll`](Self::coll).
+    pub index: String,
+    /// See [`coll`](Self::coll).
+    pub key: Key,
 }
 
 impl ProvenEntries {
-    /// Verify the proof and check it attests **exactly** the ids in
-    /// `self.entries` (in order).
+    /// Verify the proof answers this query — scope `"{coll}/{index}"` and
+    /// exactly `key`'s range — and attests **exactly** the ids in
+    /// `self.entries` (in order), each under `key`.
     pub fn verify(&self, verifier: &tdb_proof::Verifier) -> SResult<()> {
         let proof = tdb_proof::wire::decode_keyed_proof(&self.proof)
             .map_err(|e| Error::new(ErrorKind::Codec, e.to_string()))?;
-        let proved = verifier.verify_keyed(&proof).map_err(proof_err)?;
-        let claimed: Vec<u64> = self.entries.iter().map(|(_, id)| id.0).collect();
-        if proved != claimed {
+        let scope = format!("{}/{}", self.coll, self.index);
+        let lo = self.key.encode_ordered();
+        let hi = tdb_proof::key_successor(&lo);
+        if proof.scope != scope || proof.lo != lo || proof.hi.as_ref() != Some(&hi) {
             return Err(Error::new(
                 ErrorKind::Tamper,
-                format!("keyed proof attests ids {proved:?}, result claims {claimed:?}"),
+                format!(
+                    "keyed proof answers scope {:?} range {:?}..{:?}, query is {scope:?} key {:?}",
+                    proof.scope, proof.lo, proof.hi, self.key
+                ),
+            ));
+        }
+        let proved = verifier.verify_keyed(&proof).map_err(proof_err)?;
+        let claimed: Vec<u64> = self.entries.iter().map(|(_, id)| id.0).collect();
+        if proved != claimed || self.entries.iter().any(|(k, _)| *k != self.key) {
+            return Err(Error::new(
+                ErrorKind::Tamper,
+                format!(
+                    "keyed proof attests ids {proved:?} under {:?}, result claims {:?}",
+                    self.key, self.entries
+                ),
             ));
         }
         Ok(())
@@ -575,6 +599,9 @@ impl SessionRead for EmbeddedRead {
         Ok(ProvenEntries {
             entries: lookup.entries,
             proof: tdb_proof::wire::encode_keyed_proof(&lookup.proof),
+            coll: coll.to_string(),
+            index: index.to_string(),
+            key: key.clone(),
         })
     }
 

@@ -26,6 +26,7 @@ fn validator_accepts_wellformed_and_rejects_malformed() {
           "throughput_txn_per_sec": 812.5,
           "threads": 4,
           "shards": 2,
+          "cross_shard_fraction": 0.93,
           "per_shard": [
             {"shard": 0, "commits": 55, "group_commits": 20, "group_size_mean": 1.6},
             {"shard": 1, "commits": 45, "group_commits": 18, "group_size_mean": 1.4}
@@ -73,6 +74,18 @@ fn validator_accepts_wellformed_and_rejects_malformed() {
     corrupt(&|t| t.replace("\"threads\": 4", "\"threads\": 0"));
     corrupt(&|t| t.replace("\"shards\": 2", "\"shards\": 0"));
     corrupt(&|t| t.replace("\"shards\": 2", "\"shards\": \"two\""));
+    corrupt(&|t| {
+        t.replace(
+            "\"cross_shard_fraction\": 0.93",
+            "\"cross_shard_fraction\": 1.5",
+        )
+    });
+    corrupt(&|t| {
+        t.replace(
+            "\"cross_shard_fraction\": 0.93",
+            "\"cross_shard_fraction\": \"most\"",
+        )
+    });
     corrupt(&|t| t.replace("\"group_size_mean\": 1.4", "\"group_size_mean\": \"small\""));
     corrupt(&|t| {
         t.replace(

@@ -303,6 +303,42 @@ fn remote_proofs_verify_client_side_and_catch_tampering() {
     server.shutdown();
 }
 
+/// A keyed proof is bound to the query it answers: a server answering the
+/// lookup of key 9 with the (valid) absence proof for key 404, or the
+/// reverse, is caught on both backends.
+#[test]
+fn keyed_proofs_for_another_query_are_tamper_on_both_backends() {
+    let embedded = open_db(1).session();
+    let t = embedded.begin().unwrap();
+    let spec = IndexSpec::new("by-id", "tpcb.id", true, IndexKind::Hash).immutable();
+    t.ensure_collection("account", &[spec]).unwrap();
+    t.insert("account", &to_bytes(&TpcbRecord::new(9))).unwrap();
+    t.commit(Durability::Durable).unwrap();
+    let (server, remote) = serve(embedded.db().session());
+
+    for (name, s) in [
+        ("embedded", &embedded as &dyn Session),
+        ("remote", &*remote),
+    ] {
+        let anchor = tdb::proof::wire::decode_trust_anchor(&s.trust_anchor().unwrap()).unwrap();
+        let verifier = Verifier::new(anchor);
+        let rt = s.begin_read_proven().unwrap();
+        let mut present = rt.exact_proven("account", "by-id", &Key::U64(9)).unwrap();
+        let mut absent = rt.exact_proven("account", "by-id", &Key::U64(404)).unwrap();
+        present.verify(&verifier).unwrap();
+        absent.verify(&verifier).unwrap();
+        std::mem::swap(&mut present.entries, &mut absent.entries);
+        std::mem::swap(&mut present.proof, &mut absent.proof);
+        for forged in [&present, &absent] {
+            let err = expect_err(forged.verify(&verifier), name);
+            assert_eq!(err.kind(), ErrorKind::Tamper, "{name}: {err}");
+        }
+        rt.finish().unwrap();
+    }
+    drop(remote);
+    server.shutdown();
+}
+
 #[test]
 fn tpcb_driver_runs_unmodified_over_the_wire() {
     let (server, _control) = serve(open_db(1).session());
