@@ -23,8 +23,10 @@
 //! 3. `finish_pass` dirties the victims' live map pages and checkpoints —
 //!    the new anchor references only the new locations, so a crash at any
 //!    point leaves a recoverable database (an abandoned pass is just dead
-//!    log tail) — then frees the still-dead, still-unpinned victims,
-//!    truncating their files.
+//!    log tail) — then frees the still-dead, still-unpinned victims by
+//!    zeroing their headers, so the tail reuses them in place (see
+//!    `segment`; no truncate, which on a discard-mounted file system
+//!    stalls every concurrent `fdatasync`).
 //!
 //! Fully dead segments are freed without any copying, which is why low
 //! database utilization makes cleaning nearly free (the Figure 11 effect:
@@ -238,7 +240,11 @@ pub(crate) fn finish_pass(inner: &mut Inner, plan: &CleanPlan) -> Result<usize> 
     let mut freed = 0;
     let tail_now = inner.segs.tail_pos().0;
     for v in &plan.victims {
+        // A group leader still writing a segment outside the lock could
+        // land its bytes after the zeroed header, or over the records of
+        // the segment's next life: leave such a victim to a later pass.
         if *v != tail_now
+            && !inner.sync_inflight.contains(&v.0)
             && !pinned.contains(v)
             && inner.segs.is_in_use(*v)
             && inner.segs.live_of(*v) == 0

@@ -84,6 +84,8 @@ struct MaintState {
     rehash_kick: bool,
     shutdown: bool,
     thread_running: bool,
+    /// The thread took a kick and its round has not finished yet.
+    busy: bool,
     /// Completed maintenance rounds (bumped even for fruitless ones, so
     /// stalled committers re-check instead of sleeping forever).
     rounds: u64,
@@ -202,6 +204,15 @@ impl MaintShared {
         }
     }
 
+    /// Block until the thread has no round running or requested (at once
+    /// when there is no thread). Rounds kicked later are not waited for.
+    pub(crate) fn wait_idle(&self) {
+        let mut st = self.state.lock();
+        while st.thread_running && (st.kicked || st.busy) {
+            self.progress.wait(&mut st);
+        }
+    }
+
     /// Handshake state for diagnostic dumps. Non-blocking: reports
     /// `{"locked": true}` if the state lock is held (the dump path must
     /// never wedge on the locks it is diagnosing).
@@ -301,6 +312,7 @@ pub(crate) fn run(core: Arc<StoreCore>) {
             let kicked = st.kicked;
             st.kicked = false;
             st.rehash_kick = false;
+            st.busy = kicked;
             kicked
         };
         // Drain the deferred-rehash slot on every wakeup — explicit kicks
@@ -351,6 +363,7 @@ pub(crate) fn run(core: Arc<StoreCore>) {
             {
                 let mut st = core.maint.state.lock();
                 st.rounds += 1;
+                st.busy = false;
                 core.maint.progress.notify_all();
             }
         }

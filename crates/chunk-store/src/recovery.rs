@@ -276,9 +276,28 @@ pub(crate) fn open_impl(
     // anchor's pages, which were never counted live below — discard.
     let _ = map.drain_superseded();
 
-    // Rebuild per-segment live accounting from the recovered map.
-    map.for_each_entry(&mut |_, loc| segs.add_live(loc.seg, loc.len as u64));
-    map.for_each_page(&mut |loc| segs.add_live(loc.seg, loc.len as u64));
+    // Rebuild per-segment live accounting from the recovered map. A free
+    // segment (empty, or header zeroed) holds nothing a valid anchor
+    // references: live state or residual log in one means its header was
+    // zeroed behind our back, and reusing it would overwrite that state.
+    let mut stray = None;
+    let mut credit = |loc: &Location| {
+        if !segs.add_live(loc.seg, loc.len as u64) {
+            stray.get_or_insert(loc.seg);
+        }
+    };
+    map.for_each_entry(&mut |_, loc| credit(loc));
+    map.for_each_page(&mut |loc| credit(loc));
+    if let Some(seg) = stray.or_else(|| {
+        residual_segments
+            .iter()
+            .copied()
+            .find(|s| !segs.is_in_use(*s))
+    }) {
+        return Err(ChunkStoreError::TamperDetected(format!(
+            "segment {seg:?} is not in use but holds live state"
+        )));
+    }
 
     segs.set_tail(tail_seg, tail_off);
     if sw.running() {

@@ -7,6 +7,15 @@
 //! from the free list (or newly allocated — the store "can increase or
 //! decrease the space allocated for storage", §3.2.1).
 //!
+//! A segment the cleaner frees is reused **in place**: its header is
+//! overwritten with zeros and the file keeps its length and its stale
+//! records. A segment file is free when it is empty or its header is all
+//! zeros; when the tail enters a free segment it writes the header again,
+//! and recovery's scan ends at the stale records past the tail the same way
+//! it ends at crash garbage (the first commit record that does not extend
+//! the keyed chain). Freeing therefore costs one small unsynced write, not a
+//! file-system truncate or discard.
+//!
 //! The manager also owns per-segment **live-byte accounting**, which is what
 //! the cleaner's victim selection and the utilization computation (Figure
 //! 11) are based on.
@@ -151,7 +160,9 @@ pub struct TailFlush {
 pub enum SegStatus {
     /// Holds log records (possibly all obsolete).
     InUse,
-    /// Truncated to zero, ready for reuse.
+    /// Holds nothing the anchor references and is ready for reuse in
+    /// place: the file is empty or its header is zeroed. Stale records may
+    /// remain past the header until the tail overwrites them.
     Free,
     /// File deleted to shrink the database; the id may be reallocated.
     Dropped,
@@ -256,14 +267,18 @@ impl SegmentManager {
         stats: SharedStats,
     ) -> Result<Self> {
         let mut max_id: Option<u32> = None;
-        let mut present: HashMap<u32, u64> = HashMap::new();
+        let mut present: HashMap<u32, SegStatus> = HashMap::new();
         for name in store.list()? {
             if let Some(idx) = name
                 .strip_prefix("seg.")
                 .and_then(|s| s.parse::<u32>().ok())
             {
-                let len = store.open(&name, false)?.len()?;
-                present.insert(idx, len);
+                let status = if is_free_file(&*store.open(&name, false)?)? {
+                    SegStatus::Free
+                } else {
+                    SegStatus::InUse
+                };
+                present.insert(idx, status);
                 max_id = Some(max_id.map_or(idx, |m| m.max(idx)));
             }
         }
@@ -271,23 +286,11 @@ impl SegmentManager {
         let mut states = Vec::with_capacity(count as usize);
         let mut free = BTreeSet::new();
         for i in 0..count {
-            match present.get(&i) {
-                Some(0) => {
-                    free.insert(i);
-                    states.push(SegState {
-                        status: SegStatus::Free,
-                        live: 0,
-                    });
-                }
-                Some(_) => states.push(SegState {
-                    status: SegStatus::InUse,
-                    live: 0,
-                }),
-                None => states.push(SegState {
-                    status: SegStatus::Dropped,
-                    live: 0,
-                }),
+            let status = present.get(&i).copied().unwrap_or(SegStatus::Dropped);
+            if status == SegStatus::Free {
+                free.insert(i);
             }
+            states.push(SegState { status, live: 0 });
         }
         Ok(SegmentManager {
             store,
@@ -701,9 +704,17 @@ impl SegmentManager {
     // -- live accounting ------------------------------------------------
 
     /// Credit live bytes to a segment (recovery rebuild / new appends are
-    /// credited automatically by `append_record`).
-    pub fn add_live(&mut self, seg: SegmentId, bytes: u64) {
-        self.states[seg.0 as usize].live += bytes;
+    /// credited automatically by `append_record`). Returns `false`, and
+    /// credits nothing, when `seg` is not in use: a free, dropped or unknown
+    /// segment holds nothing a valid anchor references.
+    pub fn add_live(&mut self, seg: SegmentId, bytes: u64) -> bool {
+        match self.states.get_mut(seg.0 as usize) {
+            Some(s) if s.status == SegStatus::InUse => {
+                s.live += bytes;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Remove live bytes (a version became obsolete and reclaimable).
@@ -766,7 +777,8 @@ impl SegmentManager {
 
     /// Total bytes the database occupies on the untrusted store (segments
     /// only; the anchor adds a constant). This is Figure 11's "database
-    /// size" metric.
+    /// size" metric. It counts in-use segments only: a free segment keeps
+    /// its file until the tail reuses it or `drop_excess_free` deletes it.
     pub fn disk_size(&self) -> u64 {
         let in_use = self
             .states
@@ -776,16 +788,20 @@ impl SegmentManager {
         in_use as u64 * self.seg_size as u64
     }
 
-    /// Mark a fully dead segment reusable and truncate its file.
+    /// Mark a fully dead segment reusable in place by zeroing its header.
+    /// The write is not synced: the anchor that made the segment dead
+    /// references nothing in it, so if a crash loses the zeroing the
+    /// segment reopens as a dead in-use one and the next pass frees it
+    /// without copying. On error the segment stays in use.
     pub fn free_segment(&mut self, seg: SegmentId) -> Result<()> {
         assert_ne!(seg, self.tail, "cannot free the tail segment");
-        let state = &mut self.states[seg.0 as usize];
+        let state = &self.states[seg.0 as usize];
         assert_eq!(state.live, 0, "freeing segment with live bytes");
         assert_eq!(state.status, SegStatus::InUse);
-        state.status = SegStatus::Free;
+        self.file(seg)?
+            .write_at(0, &[0u8; SEGMENT_HEADER_LEN as usize])?;
+        self.states[seg.0 as usize].status = SegStatus::Free;
         self.free.insert(seg.0);
-        self.files.lock().remove(&seg.0);
-        self.store.open(&seg.file_name(), true)?.set_len(0)?;
         Ok(())
     }
 
@@ -809,6 +825,13 @@ impl SegmentManager {
             self.store.remove(&SegmentId(idx).file_name())?;
             dropped += 1;
             add(&self.stats.segments_dropped, 1);
+            tdb_obs::trace::emit(
+                tdb_obs::TraceLayer::Maint,
+                tdb_obs::TraceKind::SegDrop,
+                0,
+                idx as u64,
+                self.free.len() as u64,
+            );
         }
         Ok(dropped)
     }
@@ -823,6 +846,17 @@ impl SegmentManager {
     pub fn segment_size(&self) -> u32 {
         self.seg_size
     }
+}
+
+/// Whether a segment file is free: empty, or its header zeroed by
+/// [`SegmentManager::free_segment`]. Any other header — a torn one, or one
+/// naming another segment — leaves the file in use, so recovery's header
+/// checks still see it.
+fn is_free_file(file: &dyn RandomAccessFile) -> Result<bool> {
+    let len = file.len()?.min(SEGMENT_HEADER_LEN as u64) as usize;
+    let mut header = [0u8; SEGMENT_HEADER_LEN as usize];
+    file.read_at(0, &mut header[..len])?;
+    Ok(header[..len].iter().all(|b| *b == 0))
 }
 
 #[cfg(test)]
@@ -1014,9 +1048,39 @@ mod tests {
             m.append_record(RecordKind::ChunkData, &[1u8; 300]).unwrap();
         }
         m.sub_live(SegmentId(0), m.live_of(SegmentId(0)));
+        m.flush().unwrap();
+        let before = mem.raw("seg.000000").unwrap();
         m.free_segment(SegmentId(0)).unwrap();
-        assert_eq!(mem.raw("seg.000000").unwrap().len(), 0);
+        // Freed in place: the header is zeroed, the length and the stale
+        // records stay.
+        let after = mem.raw("seg.000000").unwrap();
+        assert_eq!(after.len(), before.len());
+        assert!(after[..SEGMENT_HEADER_LEN as usize].iter().all(|b| *b == 0));
+        assert_eq!(
+            after[SEGMENT_HEADER_LEN as usize..],
+            before[SEGMENT_HEADER_LEN as usize..]
+        );
+        assert!(!m.is_in_use(SegmentId(0)));
         assert!(m.free_count() >= 1);
+    }
+
+    #[test]
+    fn freed_segment_is_reused_with_a_fresh_header() {
+        let (mut m, mem) = mgr(4096, 2);
+        while m.tail_pos().0 == SegmentId(0) {
+            m.append_record(RecordKind::ChunkData, &[1u8; 300]).unwrap();
+        }
+        m.sub_live(SegmentId(0), m.live_of(SegmentId(0)));
+        m.free_segment(SegmentId(0)).unwrap();
+        // Fill segment 1: the next roll takes segment 0 from the free list.
+        while m.tail_pos().0 == SegmentId(1) {
+            m.append_record(RecordKind::ChunkData, &[2u8; 300]).unwrap();
+        }
+        assert_eq!(m.tail_pos().0, SegmentId(0));
+        m.flush().unwrap();
+        assert!(m.check_segment_header(SegmentId(0)).unwrap());
+        // The file kept its length: stale records lie past the new tail.
+        assert!(mem.raw("seg.000000").unwrap().len() > m.tail_pos().1 as usize);
     }
 
     #[test]
@@ -1048,14 +1112,53 @@ mod tests {
 
     #[test]
     fn reopen_classifies_segments() {
-        let (mut m, mem) = mgr(4096, 3);
-        m.append_record(RecordKind::ChunkData, &[1u8; 100]).unwrap();
+        let (mut m, mem) = mgr(4096, 4);
+        while m.tail_pos().0 == SegmentId(0) {
+            m.append_record(RecordKind::ChunkData, &[1u8; 300]).unwrap();
+        }
+        m.sub_live(SegmentId(0), m.live_of(SegmentId(0)));
+        m.free_segment(SegmentId(0)).unwrap();
         m.flush().unwrap();
-        // seg0 in use (has bytes), seg1/2 free (zero length).
+        // seg0 freed in place (zeroed header), seg1 in use (the tail),
+        // seg2/3 and an extra seg5 free (empty); seg4, the gap, dropped.
+        mem.open("seg.000005", true).unwrap();
         let stats = Arc::new(Stats::default());
         let m2 = SegmentManager::open_existing(Arc::new(mem), 4096, true, stats).unwrap();
-        assert_eq!(m2.free_count(), 2);
-        assert_eq!(m2.in_use_segments(), vec![SegmentId(0)]);
+        assert_eq!(m2.free_count(), 4);
+        assert_eq!(m2.in_use_segments(), vec![SegmentId(1)]);
+        assert!(!m2.is_valid_segment(SegmentId(4)));
+    }
+
+    /// Classify one `seg.000003` file with the given contents on reopen.
+    fn classify(contents: &[u8]) -> bool {
+        let mem = MemStore::new();
+        mem.open("seg.000003", true)
+            .unwrap()
+            .write_at(0, contents)
+            .unwrap();
+        let stats = Arc::new(Stats::default());
+        let m = SegmentManager::open_existing(Arc::new(mem), 4096, true, stats).unwrap();
+        m.is_in_use(SegmentId(3))
+    }
+
+    #[test]
+    fn free_means_empty_or_zeroed_header() {
+        let mut body = vec![0u8; 64];
+        body[SEGMENT_HEADER_LEN as usize..].fill(0xAB); // stale records
+        assert!(!classify(&[]), "empty file is free");
+        assert!(!classify(&body), "zeroed header is free");
+        assert!(!classify(&[0u8; 5]), "a short all-zero file is free");
+
+        body[..SEGMENT_HEADER_LEN as usize].copy_from_slice(&encode_segment_header(SegmentId(3)));
+        assert!(classify(&body), "own header is in use");
+        // A header naming another segment is not free: recovery's header
+        // check must still get to see (and reject) it.
+        body[..SEGMENT_HEADER_LEN as usize].copy_from_slice(&encode_segment_header(SegmentId(7)));
+        assert!(classify(&body), "a header naming another segment is in use");
+        // A torn header (one stray byte) is not free either.
+        let mut torn = [0u8; 64];
+        torn[9] = 1;
+        assert!(classify(&torn), "a partly zeroed header is in use");
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl AnchorLane {
 /// only wastes map slots.
 const FREE_LIST_CAP: usize = 4096;
 
-/// Free segments kept around after a checkpoint or cleaning pass before
-/// the rest are truncated away; bounds on-disk size after bursts
+/// Free segments kept for reuse after a checkpoint or cleaning pass
+/// before the rest are deleted; bounds on-disk size after bursts
 /// (Figure 11's "resulting database size").
 pub(crate) const FREE_SEGMENT_RESERVE: usize = 4;
 
@@ -1540,6 +1540,12 @@ impl Shard {
         }
     }
 
+    /// Block until the maintenance thread has no round running or
+    /// requested (see `ChunkStore::wait_maintenance_idle`).
+    pub(crate) fn wait_maintenance_idle(&self) {
+        self.core.maint.wait_idle();
+    }
+
     /// Quiesce and join the background maintenance thread, if one is
     /// running: an in-flight cleaning pass is abandoned at the next slice
     /// boundary (safe — only the closing checkpoint anchors a pass, so an
@@ -1564,7 +1570,7 @@ impl Shard {
     /// held only long enough to resolve the location to a file handle (or
     /// copy unflushed tail bytes), and the I/O, hash verification, and
     /// decryption all run outside it. The snapshot's segment pins keep the
-    /// cleaner from freeing or truncating the segment meanwhile.
+    /// cleaner from freeing (and the tail from reusing) the segment meanwhile.
     pub(crate) fn read_at_snapshot(&self, snap: &ShardSnapshot, cid: ChunkId) -> Result<Vec<u8>> {
         let loc = snap
             .location_of(cid)

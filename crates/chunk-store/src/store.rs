@@ -1443,6 +1443,15 @@ impl ChunkStore {
         Ok(freed)
     }
 
+    /// Block until no shard's maintenance thread has a round running or
+    /// requested — a test hook: what maintenance leaves behind (freed
+    /// segments, disk size) is only deterministic once it is idle. Rounds
+    /// kicked by later commits are not waited for.
+    #[doc(hidden)]
+    pub fn wait_maintenance_idle(&self) {
+        self.shards.iter().for_each(Shard::wait_maintenance_idle);
+    }
+
     /// Quiesce and join every shard's background maintenance thread: an
     /// in-flight cleaning pass is abandoned at the next slice boundary
     /// (safe — only the closing checkpoint anchors a pass). The store

@@ -466,9 +466,9 @@ fn written_regions(trace: &[FaultEvent]) -> Vec<(&str, u64, u64)> {
 }
 
 /// Clip traced regions to bytes the store still holds. Maintenance may
-/// remove or truncate a file after the traced write (freed segments,
-/// `drop_excess_free`), and a tamper can only target bytes that exist at
-/// apply time.
+/// remove or truncate a file after the traced write (a chunk store drops
+/// free segments in `drop_excess_free`), and a tamper can only target
+/// bytes that exist at apply time.
 fn live_regions<'a>(
     store: &dyn UntrustedStore,
     trace: &'a [FaultEvent],
@@ -637,8 +637,9 @@ pub fn apply_tamper(
                 let live = w.pre_image.len().min(w.written as usize);
                 if live > 0 {
                     // The file may have been truncated since this write
-                    // (cleaner frees); only the still-present prefix can be
-                    // compared, but the whole pre-image is restored.
+                    // (or dropped and recreated); only the still-present
+                    // prefix can be compared, but the whole pre-image is
+                    // restored.
                     let readable = live.min(f.len()?.saturating_sub(w.offset) as usize);
                     let mut current = vec![0u8; readable];
                     if readable > 0 {

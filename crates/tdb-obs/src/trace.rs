@@ -180,6 +180,9 @@ event_kinds! {
     /// A maintenance round failed with a store error (round keeps
     /// retrying on later kicks). `a` = round number, `b` = free segments.
     MaintError = 32 => "maint.error",
+    /// A free segment's file was deleted to shrink the database. `a` =
+    /// segment id, `b` = free segments after.
+    SegDrop = 33 => "seg.drop",
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 //! behave identically or refuse with tamper/replay detection — never
 //! silently serve corrupted state.
 
+use chunk_store::layout::{
+    decode_record_header, RecordKind, RECORD_HEADER_LEN, SEGMENT_HEADER_LEN,
+};
 use std::sync::Arc;
 use tdb::platform::{MemSecretStore, MemStore, OneWayCounter, UntrustedStore, VolatileCounter};
 use tdb::Durability;
@@ -185,8 +188,8 @@ fn deleting_segments_is_detected() {
         if !name.starts_with("seg.") {
             continue;
         }
-        if mem.raw(&name).unwrap().is_empty() {
-            continue; // free (truncated) segments hold nothing
+        if is_free_segment(&mem.raw(&name).unwrap()) {
+            continue; // free segments hold nothing
         }
         let copy = mem.deep_clone();
         copy.remove(&name).unwrap();
@@ -194,6 +197,130 @@ fn deleting_segments_is_detected() {
             read_all(&copy, &counter, &payloads).is_err(),
             "deleting {name} went unnoticed"
         );
+    }
+}
+
+/// A free segment file, as the chunk store classifies it on open: empty,
+/// or its header zeroed by the cleaner (stale records may follow).
+fn is_free_segment(raw: &[u8]) -> bool {
+    raw.iter()
+        .take(SEGMENT_HEADER_LEN as usize)
+        .all(|b| *b == 0)
+}
+
+/// 16 KiB segments and committer-driven maintenance, so the vault spans
+/// several segments at deterministic places.
+fn spanning_config() -> DatabaseConfig {
+    let mut cfg = DatabaseConfig::default();
+    cfg.chunk.segment_size = 16 * 1024;
+    cfg.chunk.background_maintenance = false;
+    cfg
+}
+
+fn open_spanning(mem: &MemStore, counter: &VolatileCounter) -> Result<Database, TdbError> {
+    let (classes, extractors) = registries();
+    Database::open(
+        Arc::new(mem.clone()),
+        &MemSecretStore::from_label("adversarial"),
+        Arc::new(counter.clone()),
+        classes,
+        extractors,
+        spanning_config(),
+    )
+}
+
+/// The record kinds in a segment file, in log order, up to the first bytes
+/// that do not frame a record.
+fn record_kinds(raw: &[u8]) -> Vec<RecordKind> {
+    let mut kinds = Vec::new();
+    let mut off = SEGMENT_HEADER_LEN as usize;
+    while let Some(Ok((kind, len))) = raw.get(off..).map(decode_record_header) {
+        kinds.push(kind);
+        off += (RECORD_HEADER_LEN + len) as usize;
+    }
+    kinds
+}
+
+/// Zeroing a segment's header is how the cleaner frees it, so an attacker
+/// who zeroes a live segment's header must not get it silently freed (and
+/// later overwritten): open refuses with tamper detection, both for a
+/// segment holding only live chunk data and for the residual-log segment.
+#[test]
+fn zeroing_a_live_segment_header_is_detected() {
+    let mem = MemStore::new();
+    let counter = VolatileCounter::new();
+    let (classes, extractors) = registries();
+    let db = Database::create(
+        Arc::new(mem.clone()),
+        &MemSecretStore::from_label("adversarial"),
+        Arc::new(counter.clone()),
+        classes,
+        extractors,
+        spanning_config(),
+    )
+    .unwrap();
+    // One ~100 KB transaction: its chunk records fill several segments
+    // before its commit record, then the checkpoint starts the residual
+    // log in the tail segment.
+    let t = db.begin();
+    let c = t
+        .create_collection(
+            "vault",
+            &[IndexSpec::new("by-id", "sv.id", true, IndexKind::Hash)],
+        )
+        .unwrap();
+    for id in 0..100u64 {
+        let payload = format!("content-key-{id:04}-").repeat(60).into_bytes();
+        c.insert(Box::new(SecretVal { id, payload })).unwrap();
+    }
+    drop(c);
+    t.commit(Durability::Durable).unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    open_spanning(&mem, &counter).expect("clean database must open");
+
+    let segments: Vec<(String, Vec<RecordKind>)> = mem
+        .list()
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.starts_with("seg.") && !is_free_segment(&mem.raw(n).unwrap()))
+        .map(|n| (n.clone(), record_kinds(&mem.raw(&n).unwrap())))
+        .collect();
+    assert!(
+        segments.len() >= 4,
+        "vault spans too few segments: {segments:?}"
+    );
+    let chunk_only = segments
+        .iter()
+        .find(|(_, kinds)| {
+            kinds.contains(&RecordKind::ChunkData)
+                && kinds
+                    .iter()
+                    .all(|k| matches!(k, RecordKind::ChunkData | RecordKind::NextSegment))
+        })
+        .map(|(n, _)| n.clone())
+        .expect("a segment holding only chunk data");
+    // The tail, where the checkpoint started the residual log, is the one
+    // segment the log has not left yet.
+    let residual = segments
+        .iter()
+        .filter(|(_, kinds)| !kinds.contains(&RecordKind::NextSegment))
+        .map(|(n, _)| n.clone())
+        .collect::<Vec<_>>();
+    assert_eq!(residual.len(), 1, "{segments:?}");
+
+    for name in [&chunk_only, &residual[0]] {
+        let victim = mem.deep_clone();
+        victim
+            .open(name, false)
+            .unwrap()
+            .write_at(0, &[0u8; SEGMENT_HEADER_LEN as usize])
+            .unwrap();
+        match open_spanning(&victim, &counter) {
+            Err(TdbError::Chunk(ChunkStoreError::TamperDetected(_))) => {}
+            Err(e) => panic!("zeroing {name}'s header: expected TamperDetected, got {e}"),
+            Ok(_) => panic!("zeroing {name}'s header went unnoticed"),
+        }
     }
 }
 

@@ -252,6 +252,65 @@ fn manual_diagnostics_capture_store_state() {
     obs::diag::set_diag_dir(None);
 }
 
+/// Deleting a free segment's file is file-system work on the durable path
+/// (the store lock is held), so a dump must show it: every drop emits a
+/// `seg.drop` event naming the segment and the free count it left.
+#[test]
+fn segment_drops_appear_in_a_dump() {
+    let _g = global_lock();
+    obs::trace::set_trace_enabled(true);
+
+    let st = mem_store(ChunkStoreConfig {
+        security: SecurityMode::Off,
+        ..ChunkStoreConfig::small_for_tests()
+    });
+    // ~43 KB of chunks over 4 KiB segments, then all of it deallocated:
+    // the next passes free more segments than the reserve keeps.
+    let mut batch = st.begin_batch();
+    let ids: Vec<_> = (0..48)
+        .map(|_| batch.allocate_chunk_id().unwrap())
+        .collect();
+    st.commit_batch(batch, Durability::Durable).unwrap();
+    for id in &ids {
+        let mut batch = st.begin_batch();
+        batch.write(*id, &[0xCD; 900]).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
+    }
+    let mut batch = st.begin_batch();
+    ids.iter().for_each(|id| batch.deallocate(*id).unwrap());
+    st.commit_batch(batch, Durability::Durable).unwrap();
+    // Churn until maintenance drops a free segment beyond the reserve,
+    // then dump at once, while the event is still in the ring.
+    let mut batch = st.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    st.commit_batch(batch, Durability::Durable).unwrap();
+    let mut round = 0usize;
+    while st.stats().segments_dropped == 0 {
+        assert!(round < 1_000, "churn never dropped a segment");
+        let mut batch = st.begin_batch();
+        batch.write(id, &[round as u8; 600]).unwrap();
+        st.commit_batch(batch, Durability::Durable).unwrap();
+        round += 1;
+    }
+    let dump = obs::diag::collect("segment-drop");
+    obs::trace::set_trace_enabled(false);
+
+    let events = dump
+        .get("trace")
+        .and_then(|t| t.get("events"))
+        .and_then(|j| j.as_arr())
+        .unwrap();
+    let drops: Vec<_> = events
+        .iter()
+        .filter(|e| str_of(e, "kind") == "seg.drop")
+        .collect();
+    assert!(!drops.is_empty(), "no seg.drop event in the dump");
+    assert!(
+        drops.iter().all(|e| str_of(e, "layer") == "maint"),
+        "{drops:?}"
+    );
+}
+
 /// A dump appears under its final `tdb-diag-*.json` name only once it is
 /// complete: a reader polling the directory while dumps are written never
 /// sees a file that fails to parse (the cause of the old flake in
