@@ -68,7 +68,7 @@ fn run_tdb(
     cfg: &TpcbConfig,
     security: SecurityMode,
     store: Arc<dyn UntrustedStore>,
-) -> (BenchReport, chunk_store::StatsSnapshot, RegistrySnapshot) {
+) -> (BenchReport, RegistrySnapshot, RegistrySnapshot) {
     // 60% maximum utilization, "the default for TDB" in this experiment.
     let chunk = ChunkStoreConfig {
         security,
@@ -82,7 +82,7 @@ fn run_tdb_chunk(
     cfg: &TpcbConfig,
     chunk: ChunkStoreConfig,
     store: Arc<dyn UntrustedStore>,
-) -> (BenchReport, chunk_store::StatsSnapshot, RegistrySnapshot) {
+) -> (BenchReport, RegistrySnapshot, RegistrySnapshot) {
     let db_cfg = DatabaseConfig {
         chunk,
         ..DatabaseConfig::default()
@@ -93,20 +93,9 @@ fn run_tdb_chunk(
     } else {
         run_benchmark(&mut driver, cfg)
     };
-    // The registry's `chunk.*` counters and the legacy snapshot read the
-    // same atomics — a mismatch here means the wiring regressed.
-    let chunks = driver.database().chunk_store();
-    assert_eq!(
-        chunks
-            .obs_snapshot()
-            .counters
-            .get("chunk.commits")
-            .copied()
-            .unwrap_or(0),
-        chunks.stats().commits,
-        "registry counters must reconcile with StatsSnapshot"
-    );
-    let stats = driver.database().stats();
+    // Lifetime counters (load phase included) for the bytes and
+    // maintenance breakdowns.
+    let stats = driver.database().chunk_store().obs_snapshot();
     // Measured-run delta: the load phase's own durable commits (schema
     // creation, bulk-load batches, the closing checkpoint) are subtracted,
     // so `commit.*` histogram counts equal the transactions actually run.
@@ -122,12 +111,7 @@ fn run_tdb_sharded(
     cfg: &TpcbConfig,
     n: usize,
     store: Arc<dyn UntrustedStore>,
-) -> (
-    BenchReport,
-    chunk_store::StatsSnapshot,
-    RegistrySnapshot,
-    Json,
-) {
+) -> (BenchReport, RegistrySnapshot, RegistrySnapshot, Json) {
     let chunk = ChunkStoreConfig {
         security: SecurityMode::Off,
         max_utilization: 0.60,
@@ -147,20 +131,13 @@ fn run_tdb_sharded(
     let chunks = driver.database().chunk_store();
     // The merged registry re-exports each shard's instruments as
     // `shard{k}.chunk.*` (shared handles), and `obs_snapshot` folds them
-    // back into aggregate names. Both views must reconcile with the
-    // legacy per-shard StatsSnapshot — same atomics throughout.
+    // back into aggregate names.
     let merged = chunks.obs_snapshot();
     let commits_sum: u64 = (0..chunks.shards())
-        .map(|i| {
-            merged
-                .counters
-                .get(&format!("shard{i}.chunk.commits"))
-                .copied()
-                .unwrap_or(0)
-        })
+        .map(|i| merged.counter(&format!("shard{i}.chunk.commits")))
         .sum();
     assert_eq!(
-        merged.counters.get("chunk.commits").copied().unwrap_or(0),
+        merged.counter("chunk.commits"),
         commits_sum,
         "aggregate view must equal the per-shard sum"
     );
@@ -171,13 +148,7 @@ fn run_tdb_sharded(
     // only.
     let measured = driver.measured_obs();
     let per_shard = Json::array((0..chunks.shards()).map(|i| {
-        let lifetime = |name: &str| {
-            merged
-                .counters
-                .get(&format!("shard{i}.chunk.{name}"))
-                .copied()
-                .unwrap_or(0)
-        };
+        let lifetime = |name: &str| merged.counter(&format!("shard{i}.chunk.{name}"));
         let mut o = Json::obj();
         o.push("shard", i as u64);
         o.push("commits", lifetime("commits"));
@@ -191,8 +162,7 @@ fn run_tdb_sharded(
         }
         o
     }));
-    let stats = driver.database().stats();
-    (report, stats, measured, per_shard)
+    (report, merged, measured, per_shard)
 }
 
 /// One `results[]` row of the BENCH_fig10_tpcb.json document.
@@ -221,16 +191,20 @@ fn result_row(name: &str, r: &BenchReport, obs: Option<&RegistrySnapshot>) -> Js
 
 /// The background-maintenance counters a row was measured under — the
 /// schema's optional `maintenance` object (numeric values only).
-fn maintenance_json(s: &chunk_store::StatsSnapshot) -> Json {
+fn maintenance_json(s: &RegistrySnapshot) -> Json {
     let mut o = Json::obj();
-    o.push("wakeups", s.maintenance_wakeups);
-    o.push("stalls", s.maintenance_stalls);
-    o.push("gave_up", s.maintenance_gave_up);
-    o.push("checkpoints", s.checkpoints);
-    o.push("cleaner_passes", s.cleaner_passes);
-    o.push("cleaner_slices", s.cleaner_slices);
-    o.push("cleaner_segments_freed", s.cleaner_segments_freed);
-    o.push("cleaner_bytes_copied", s.cleaner_bytes_copied);
+    for (key, counter) in [
+        ("wakeups", "maintenance_wakeups"),
+        ("stalls", "maintenance_stalls"),
+        ("gave_up", "maintenance_gave_up"),
+        ("checkpoints", "checkpoints"),
+        ("cleaner_passes", "cleaner_passes"),
+        ("cleaner_slices", "cleaner_slices"),
+        ("cleaner_segments_freed", "cleaner_segments_freed"),
+        ("cleaner_bytes_copied", "cleaner_bytes_copied"),
+    ] {
+        o.push(key, s.counter(&format!("chunk.{counter}")));
+    }
     o
 }
 
@@ -301,13 +275,16 @@ fn main() {
     println!();
     let n = cfg.transactions as f64;
     for (name, s) in [("TDB", &tdb_stats), ("TDB-S", &tdbs_stats)] {
+        let per_txn = |counter: &str| s.counter(&format!("chunk.{counter}")) as f64 / n;
+        let (chunk, cleaner, commit) = (
+            per_txn("chunk_bytes_appended"),
+            per_txn("cleaner_bytes_copied"),
+            per_txn("commit_bytes_appended"),
+        );
         println!(
-            "{name}: commit-path bytes/txn ≈ {:.0} (chunk {:.0} − cleaner {:.0} + commit-records {:.0}); map/checkpoint {:.0}",
-            (s.chunk_bytes_appended - s.cleaner_bytes_copied + s.commit_bytes_appended) as f64 / n,
-            s.chunk_bytes_appended as f64 / n,
-            s.cleaner_bytes_copied as f64 / n,
-            s.commit_bytes_appended as f64 / n,
-            s.map_bytes_appended as f64 / n,
+            "{name}: commit-path bytes/txn ≈ {:.0} (chunk {chunk:.0} − cleaner {cleaner:.0} + commit-records {commit:.0}); map/checkpoint {:.0}",
+            chunk - cleaner + commit,
+            per_txn("map_bytes_appended"),
         );
     }
     println!();
@@ -404,8 +381,8 @@ fn main() {
                 r.latency.percentile(0.50) / 1e6,
                 r.latency.percentile(0.99) / 1e6,
                 r.latency.percentile(0.999) / 1e6,
-                s.cleaner_passes,
-                s.maintenance_stalls,
+                s.counter("chunk.cleaner_passes"),
+                s.counter("chunk.maintenance_stalls"),
             );
         }
         let p99_inline = inline_r.latency.percentile(0.99);
@@ -439,7 +416,7 @@ fn main() {
         push_result(&mut doc, result_row("TDB-mt", mt_report, Some(mt_obs)));
     }
     if let Some((r, s, obs, per_shard)) = sharded {
-        let cross = obs.counters.get("xshard.commits").copied().unwrap_or(0);
+        let cross = obs.counter("xshard.commits");
         let mut row = result_row("TDB-sharded", &r, Some(&obs));
         row.push("shards", shards as u64);
         row.push(

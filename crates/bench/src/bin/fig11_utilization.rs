@@ -53,17 +53,22 @@ fn main() {
         let mut db_cfg = DatabaseConfig::without_security();
         db_cfg.chunk.max_utilization = util;
         let mut driver = TdbDriver::new(Arc::new(MemStore::new()), db_cfg);
-        let before = driver.database().stats();
+        let before = driver.database().chunk_store().obs_snapshot();
         let report = run_benchmark(&mut driver, &cfg);
         // Settle: checkpoint so the final size reflects steady state.
         driver.database().checkpoint().unwrap();
-        let stats = driver.database().stats().since(&before);
+        let cleaner_bytes_copied = driver
+            .database()
+            .chunk_store()
+            .obs_snapshot()
+            .since(&before)
+            .counter("chunk.cleaner_bytes_copied");
         println!(
             "{:>11.1} {:>16.4} {:>14.2} {:>18.0}",
             util,
             report.avg_response_ms,
             driver.database().disk_size() as f64 / 1e6,
-            stats.cleaner_bytes_copied as f64 / cfg.transactions as f64,
+            cleaner_bytes_copied as f64 / cfg.transactions as f64,
         );
         let obs = driver.database().obs().snapshot();
         let mut row = Json::obj();
@@ -77,7 +82,7 @@ fn main() {
         row.push("final_disk_size", driver.database().disk_size());
         row.push(
             "cleaner_bytes_per_txn",
-            stats.cleaner_bytes_copied as f64 / cfg.transactions as f64,
+            cleaner_bytes_copied as f64 / cfg.transactions as f64,
         );
         row.push("latency_ms", latency_ms_json(&report.latency));
         row.push("phases_ns", histograms_json(&obs, "cleaner."));

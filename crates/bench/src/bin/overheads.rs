@@ -23,20 +23,21 @@ fn measure(mode: SecurityMode, payload: usize, chunks: u64) -> (f64, f64, Regist
         ..Default::default()
     };
     let store = bench_chunk_store(cfg);
-    let base = store.stats();
+    let base = store.obs_snapshot();
     for _ in 0..chunks {
         let mut batch = store.begin_batch();
         let id = batch.allocate_chunk_id().unwrap();
         batch.write(id, &vec![0xABu8; payload]).unwrap();
         store.commit_batch(batch, Durability::Durable).unwrap();
     }
-    let s = store.stats().since(&base);
-    let chunk_overhead =
-        (s.chunk_bytes_appended as f64 - (payload as u64 * chunks) as f64) / chunks as f64;
+    let s = store.obs_snapshot().since(&base);
+    let chunk_overhead = (s.counter("chunk.chunk_bytes_appended") as f64
+        - (payload as u64 * chunks) as f64)
+        / chunks as f64;
     // Map entry cost: checkpoint and count map bytes per live chunk.
     store.checkpoint().unwrap();
-    let s2 = store.stats().since(&base);
-    let map_per_chunk = s2.map_bytes_appended as f64 / store.live_chunks() as f64;
+    let s2 = store.obs_snapshot().since(&base);
+    let map_per_chunk = s2.counter("chunk.map_bytes_appended") as f64 / store.live_chunks() as f64;
     (chunk_overhead, map_per_chunk, store.obs().snapshot())
 }
 

@@ -2,8 +2,11 @@
 //!
 //! The figure binaries (`fig8_footprint`, `fig9_tables`, `fig10_tpcb`,
 //! `fig11_utilization`, `overheads`) regenerate the paper's evaluation
-//! tables; the Criterion benches under `benches/` cover micro-operations
-//! and the ablations DESIGN.md calls out.
+//! tables; `fig_server` sweeps 16 to 128 connections against a server,
+//! the one question the whole-stack benchmark under `benchmark/` cannot
+//! ask; `tdb_doctor` reads diagnostic and proof dumps. The Criterion
+//! benches under `benches/` cover micro-operations and the ablations
+//! DESIGN.md calls out.
 
 #![forbid(unsafe_code)]
 

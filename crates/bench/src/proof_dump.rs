@@ -1,4 +1,4 @@
-//! The offline proof dump: what `fig_proofs` exports and `tdb-doctor
+//! The offline proof dump: what a proof holder exports and `tdb-doctor
 //! verify-proof` checks. A JSON object with exactly four keys — `v` (the
 //! dump version), and `proof`, `anchor`, `value` as hex of the stable
 //! binary encodings in [`tdb::proof::wire`] — so dumps stay greppable and

@@ -111,9 +111,6 @@ pub fn write_bench_json(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
 /// - any `threads` field in a result row is a positive integer (worker
 ///   threads the row was measured with; rows omitting it are single-run
 ///   rows from before the field existed);
-/// - the per-second and ratio fields (`reads_per_sec`, `proofs_per_sec`,
-///   `proof_bytes_mean`, `deferred_p50_ratio`, ...) must be numeric when
-///   present;
 /// - any `shards` field in a result row is a positive integer (chunk-store
 ///   shards the row was measured with; unsharded rows omit it), and any
 ///   `cross_shard_fraction` a number in [0, 1] (the share of measured
@@ -191,21 +188,7 @@ pub fn validate_bench_doc(doc: &Json) -> Result<(), String> {
                         }
                     }
                 }
-                "readers" if v.as_u64().is_none() => {
-                    return Err(format!("results[{i}]: readers not a non-negative integer"));
-                }
-                "reader_ops_per_sec"
-                | "writer_txn_per_sec"
-                | "read_scaling_1_to_4"
-                | "writer_p99_ratio_at_4_readers"
-                | "reads_per_sec"
-                | "proofs_per_sec"
-                | "proof_bytes_mean"
-                | "deferred_p50_ratio"
-                | "deferred_p99_ratio"
-                | "group_size_mean"
-                    if v.as_f64().is_none() =>
-                {
+                "group_size_mean" if v.as_f64().is_none() => {
                     return Err(format!("results[{i}]: {k} not numeric"));
                 }
                 "counters" | "maintenance" => {

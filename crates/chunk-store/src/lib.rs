@@ -79,6 +79,5 @@ pub use map::Location;
 pub use proof::{ProofBookmark, Proven};
 pub use recovery::RecoveryReport;
 pub use snapshot::{Snapshot, SnapshotDiff};
-pub use stats::StatsSnapshot;
 pub use store::{ChunkStore, CommitTicket, WriteBatch};
 pub use tdb_core::Durability;

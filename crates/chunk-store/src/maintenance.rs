@@ -93,6 +93,8 @@ struct MaintState {
     /// mid-round — so stalled committers wake at the first free, not at
     /// round end.
     free_epoch: u64,
+    /// The last maintenance-thread round that failed, and its error text.
+    last_error: Option<(u64, String)>,
 }
 
 /// A stalled committer's view of maintenance progress (see
@@ -226,6 +228,15 @@ impl MaintShared {
                 j.push("shutdown", st.shutdown);
                 j.push("rounds", st.rounds);
                 j.push("free_epoch", st.free_epoch);
+                match &st.last_error {
+                    Some((round, error)) => {
+                        let mut e = tdb_obs::Json::obj();
+                        e.push("round", *round);
+                        e.push("error", error.as_str());
+                        j.push("last_error", e);
+                    }
+                    None => j.push("last_error", tdb_obs::Json::Null),
+                }
                 j
             }
             None => tdb_obs::Json::object([("locked", tdb_obs::Json::from(true))]),
@@ -343,8 +354,8 @@ pub(crate) fn run(core: Arc<StoreCore>) {
                 Ok(n) => n,
                 Err(e) => {
                     // Not fatal to the thread (see the comment above), but
-                    // it must not be invisible either: record it in the
-                    // flight recorder and, when asked, on stderr.
+                    // it must not be invisible either: count it, keep it for
+                    // diagnostic dumps and record it in the flight recorder.
                     let free = core.inner.lock().segs.free_count();
                     trace::emit(
                         TraceLayer::Maint,
@@ -353,9 +364,8 @@ pub(crate) fn run(core: Arc<StoreCore>) {
                         round,
                         free as u64,
                     );
-                    if std::env::var_os("TDB_MAINT_DEBUG").is_some() {
-                        eprintln!("tdb-maint: round {round} failed (free={free}): {e}");
-                    }
+                    add(&core.stats.maintenance_errors, 1);
+                    core.maint.state.lock().last_error = Some((round, e.to_string()));
                     0
                 }
             };

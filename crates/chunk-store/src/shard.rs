@@ -39,7 +39,7 @@ use crate::proof::{self, BookmarkOutcome, ProofBookmark, Proven};
 use crate::recovery;
 use crate::segment::{self, SegmentManager};
 use crate::snapshot::{ShardSnapshot, SnapCore, SnapshotDiff};
-use crate::stats::{add, SharedStats, Stats, StatsSnapshot};
+use crate::stats::{add, SharedStats, Stats};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1673,10 +1673,6 @@ impl Shard {
 
     pub(crate) fn recovery_report(&self) -> Option<recovery::RecoveryReport> {
         self.core.inner.lock().recovery.clone()
-    }
-
-    pub(crate) fn stats(&self) -> StatsSnapshot {
-        self.core.stats.snapshot()
     }
 
     pub(crate) fn obs(&self) -> Arc<tdb_obs::Registry> {

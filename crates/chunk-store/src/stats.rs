@@ -6,10 +6,11 @@
 //! (Figure 11). These counters make the same quantities observable here.
 //!
 //! Counters live in a per-store [`tdb_obs::Registry`] (names prefixed
-//! `chunk.`), so the legacy [`StatsSnapshot`] API and the observability
-//! registry read the *same* atomics — deltas taken through either view
-//! reconcile by construction. The registry is created alongside `Stats` and
-//! shared downward to the object/collection/backup layers via
+//! `chunk.`); the registry is their only read path — snapshot it through
+//! [`ChunkStore::obs_snapshot`](crate::ChunkStore::obs_snapshot) and read a
+//! counter with [`tdb_obs::RegistrySnapshot::counter`]. The registry is
+//! created alongside `Stats` and shared downward to the
+//! object/collection/backup layers via
 //! [`ChunkStore::obs`](crate::ChunkStore::obs).
 
 use std::sync::Arc;
@@ -30,12 +31,6 @@ macro_rules! counters {
             $( $(#[$doc])* pub $name: Counter, )*
         }
 
-        /// A point-in-time copy of [`Stats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct StatsSnapshot {
-            $( $(#[$doc])* pub $name: u64, )*
-        }
-
         impl Stats {
             /// Create stats registered in `registry` under the `chunk.`
             /// prefix.
@@ -45,30 +40,6 @@ macro_rules! counters {
                     proofs: ProofCounters::with_registry(&registry),
                     $( $name: registry.counter(concat!("chunk.", stringify!($name))), )*
                     registry,
-                }
-            }
-
-            /// Snapshot all counters.
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: self.$name.get(), )*
-                }
-            }
-        }
-
-        impl StatsSnapshot {
-            /// Difference since `earlier` (per-interval measurements).
-            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: self.$name.wrapping_sub(earlier.$name), )*
-                }
-            }
-
-            /// Field-wise sum — aggregation across the shards of a
-            /// [`ChunkStore`](crate::ChunkStore).
-            pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: self.$name.wrapping_add(other.$name), )*
                 }
             }
         }
@@ -119,6 +90,9 @@ counters! {
     cleaner_move_stalls,
     /// Times the maintenance thread woke to a kick (or shutdown).
     maintenance_wakeups,
+    /// Maintenance-thread rounds that returned an error (the shard's
+    /// `diag_state` keeps the last one's round and error text).
+    maintenance_errors,
     /// Maintenance rounds that ended with no free segment despite garbage
     /// existing (victims all pinned/tail, or the pass cap was hit).
     maintenance_gave_up,
@@ -143,9 +117,8 @@ impl Stats {
 }
 
 /// Counters for the proof-carrying read path, registered under the
-/// `proof.` prefix (they describe the trust layer, not the log). They are
-/// intentionally outside [`StatsSnapshot`] — consumers (the `fig_proofs`
-/// bench, dashboards) read them through the observability registry.
+/// `proof.` prefix (they describe the trust layer, not the log; the
+/// benchmark's `proof_lookup` workload reports them as `proof.*`).
 pub struct ProofCounters {
     /// Proven reads served (bookmark captured).
     pub proven_reads: Counter,
@@ -269,27 +242,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_delta() {
-        let s = Stats::default();
-        add(&s.commits, 5);
-        add(&s.bytes_appended, 100);
-        let a = s.snapshot();
-        assert_eq!(a.commits, 5);
-        add(&s.commits, 2);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.commits, 2);
-        assert_eq!(d.bytes_appended, 0);
-    }
-
-    #[test]
-    fn registry_view_matches_snapshot() {
+    fn counters_are_registered_under_the_chunk_prefix() {
         let s = Stats::default();
         add(&s.commits, 3);
         add(&s.bytes_read, 42);
         let reg = s.registry().snapshot();
-        assert_eq!(reg.counters["chunk.commits"], 3);
-        assert_eq!(reg.counters["chunk.bytes_read"], 42);
-        assert_eq!(s.snapshot().commits, 3);
+        assert_eq!(reg.counter("chunk.commits"), 3);
+        assert_eq!(reg.counter("chunk.bytes_read"), 42);
+        assert_eq!(reg.counter("chunk.maintenance_errors"), 0);
     }
 }

@@ -87,7 +87,6 @@ use crate::proof::{self, Proven, ShardHook};
 use crate::recovery::RecoveryReport;
 use crate::shard::{iv_salt, Shard, ShardBatch, ShardTicket};
 use crate::snapshot::{Snapshot, SnapshotDiff};
-use crate::stats::StatsSnapshot;
 use tdb_obs::{trace, watchdog, TraceKind, TraceLayer};
 
 /// Magic prefix of a root-of-roots slot.
@@ -1479,19 +1478,12 @@ impl ChunkStore {
 
     // ---- introspection ----------------------------------------------
 
-    /// Operation counters, summed across shards.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.shards
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s.stats()))
-    }
-
-    /// The store's observability registry: the `chunk.*` counters behind
-    /// [`stats`](Self::stats) plus commit/checkpoint/cleaner/recovery phase
-    /// histograms. Higher layers (object/collection/backup stores)
-    /// register their instruments here too, so one registry describes a
-    /// whole stack. With several shards every shard's instruments appear
-    /// under a `shard{k}.` prefix (`shard0.chunk.commits`, …) — the merged
+    /// The store's observability registry: the `chunk.*` operation
+    /// counters plus commit/checkpoint/cleaner/recovery phase histograms.
+    /// Higher layers (object/collection/backup stores) register their
+    /// instruments here too, so one registry describes a whole stack.
+    /// With several shards every shard's instruments appear under a
+    /// `shard{k}.` prefix (`shard0.chunk.commits`, …) — the merged
     /// view adopts the shards' *handles*, not copies, so per-shard deltas
     /// taken through either view reconcile by construction. Use
     /// [`obs_snapshot`](Self::obs_snapshot) for a view that also folds the

@@ -36,6 +36,11 @@ fn open_on(
     ChunkStore::open(untrusted, &secret(), Arc::new(c.clone()), cfg.clone()).unwrap()
 }
 
+/// The store's `chunk.<name>` counter, read from its registry.
+fn chunk_counter(store: &ChunkStore, name: &str) -> u64 {
+    store.obs_snapshot().counter(&format!("chunk.{name}"))
+}
+
 fn hist_count(snap: &tdb_obs::RegistrySnapshot, name: &str) -> u64 {
     snap.histograms.get(name).map(|h| h.count()).unwrap_or(0)
 }
@@ -227,7 +232,10 @@ fn mass_free_then_overwrites_never_spuriously_out_of_space() {
             .commit_batch(batch, Durability::from(round % 4 == 0))
             .unwrap_or_else(|e| panic!("commit {round} failed: {e}"));
     }
-    assert!(store.stats().cleaner_passes > 0, "cleaning must have run");
+    assert!(
+        chunk_counter(&store, "cleaner_passes") > 0,
+        "cleaning must have run"
+    );
     assert_eq!(
         store.read(survivors[0]).unwrap(),
         398u32.to_le_bytes().repeat(64)
@@ -495,7 +503,7 @@ fn background_thread_checkpoints_by_watermark_and_close_quiesces() {
     };
     let counter = VolatileCounter::new();
     let store = create_on(Arc::new(MemStore::new()), &counter, &cfg);
-    let base = store.stats();
+    let base = store.obs_snapshot();
 
     let mut batch = store.begin_batch();
     let id = batch.allocate_chunk_id().unwrap();
@@ -508,17 +516,17 @@ fn background_thread_checkpoints_by_watermark_and_close_quiesces() {
     // The checkpoint happens asynchronously; wait for it.
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let now = store.stats().since(&base);
-        if now.checkpoints > 0 {
+        let now = store.obs_snapshot().since(&base);
+        if now.counter("chunk.checkpoints") > 0 {
             assert!(
-                now.maintenance_wakeups > 0,
+                now.counter("chunk.maintenance_wakeups") > 0,
                 "commit path must kick the thread"
             );
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "background thread never checkpointed: {now:?}"
+            "background thread never checkpointed"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -564,7 +572,10 @@ fn backpressure_under_background_cleaning() {
         batch = store.begin_batch();
     }
     store.commit_batch(batch, Durability::Durable).unwrap();
-    assert!(store.stats().cleaner_passes > 0, "cleaning must have run");
+    assert!(
+        chunk_counter(&store, "cleaner_passes") > 0,
+        "cleaning must have run"
+    );
     assert_eq!(store.read(a).unwrap(), 598u32.to_le_bytes().repeat(64));
     assert_eq!(store.read(b).unwrap(), 599u32.to_le_bytes().repeat(64));
 
@@ -753,6 +764,68 @@ fn failed_anchor_write_or_counter_bump_rolls_back_on_both_rounds() {
     }
 }
 
+/// A maintenance-thread round that fails is not fatal to the thread, but
+/// it is visible: `chunk.maintenance_errors` counts it and the shard's
+/// `diag_state` (what a diagnostic dump carries) keeps its round and error.
+#[test]
+fn failed_thread_round_is_counted_and_kept_for_dumps() {
+    let cfg = ChunkStoreConfig {
+        security: SecurityMode::Full,
+        background_maintenance: true,
+        allow_growth: false,
+        initial_segments: 6,
+        ..ChunkStoreConfig::small_for_tests()
+    };
+    let fail = Arc::new(AtomicBool::new(false));
+    let store = ChunkStore::create(
+        Arc::new(AnchorFaultStore {
+            inner: MemStore::new(),
+            fail: fail.clone(),
+        }),
+        &secret(),
+        Arc::new(VolatileCounter::new()),
+        cfg,
+    )
+    .unwrap();
+    // Lazy commits never anchor, so the only anchor write is the one the
+    // thread's round makes once the fixed-size log fills and a stalled
+    // committer kicks it. The committer then gives up with out-of-space.
+    fail.store(true, Ordering::SeqCst);
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut i = 0u32;
+    while chunk_counter(&store, "maintenance_errors") == 0 {
+        assert!(Instant::now() < deadline, "no maintenance round failed");
+        batch.write(id, &i.to_le_bytes().repeat(100)).unwrap();
+        let _ = store.commit_batch(batch, Durability::Lazy);
+        batch = store.begin_batch();
+        i += 1;
+    }
+
+    // The thread survived: with the fault gone, its rounds make room and
+    // the store commits durably again.
+    fail.store(false, Ordering::SeqCst);
+    batch.write(id, b"after the fault").unwrap();
+    store.commit_batch(batch, Durability::Durable).unwrap();
+    assert_eq!(store.read(id).unwrap(), b"after the fault");
+
+    // The dump reads the maintenance state with `try_lock` and reports
+    // `{"locked": true}` while the thread holds it, so read it once the
+    // thread is joined.
+    store.close();
+    let maint = store.diag_state().as_arr().unwrap()[0]
+        .get("maintenance")
+        .cloned();
+    let err = maint.and_then(|m| m.get("last_error").cloned()).unwrap();
+    assert!(
+        err.get("round").and_then(|r| r.as_u64()).is_some(),
+        "{err:?}"
+    );
+    let text = err.get("error").and_then(|e| e.as_str()).unwrap();
+    assert!(text.contains("injected fault"), "{text}");
+}
+
 /// Overwrite churn from a seed: eight chunks, two rewritten per commit,
 /// every eighth commit durable. Returns what the store must now hold.
 fn seeded_churn(store: &ChunkStore, seed: u64, rounds: u32) -> BTreeMap<ChunkId, Vec<u8>> {
@@ -808,13 +881,17 @@ fn closed_store_keeps_cleaning_on_a_fixed_size_log() {
     let mem = MemStore::new();
     let store = create_on(Arc::new(mem.clone()), &counter, &cfg);
     store.close();
-    let base = store.stats();
+    let base = store.obs_snapshot();
 
     // ~300 KiB through a 24 KiB log.
     let expected = seeded_churn(&store, 7, 400);
-    let delta = store.stats().since(&base);
-    assert!(delta.cleaner_segments_freed > 0, "{delta:?}");
-    assert_eq!(delta.maintenance_wakeups, 0, "the thread is gone");
+    let delta = store.obs_snapshot().since(&base);
+    assert!(delta.counter("chunk.cleaner_segments_freed") > 0);
+    assert_eq!(
+        delta.counter("chunk.maintenance_wakeups"),
+        0,
+        "the thread is gone"
+    );
     for (id, bytes) in &expected {
         assert_eq!(&store.read(*id).unwrap(), bytes);
     }
@@ -845,7 +922,10 @@ fn committer_and_thread_drivers_agree() {
         // running: assert on what maintenance left, not on a pass midway.
         store.wait_maintenance_idle();
 
-        assert!(store.stats().cleaner_segments_freed > 0, "{what}");
+        assert!(
+            chunk_counter(&store, "cleaner_segments_freed") > 0,
+            "{what}"
+        );
         assert!(
             store.utilization() <= cfg.max_utilization,
             "{what}: utilization {}",

@@ -66,8 +66,8 @@ fn proven_reads_verify_inclusion_and_absence() {
 
     // Counters moved.
     let obs = store.obs().snapshot();
-    assert!(obs.counters["proof.proven_reads"] >= 3);
-    assert!(obs.counters["proof.minted"] >= 3);
+    assert!(obs.counter("proof.proven_reads") >= 3);
+    assert!(obs.counter("proof.minted") >= 3);
 }
 
 #[test]

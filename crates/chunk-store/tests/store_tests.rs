@@ -651,12 +651,13 @@ fn heavy_overwrite_traffic_is_cleaned_and_bounded() {
         }
         store.commit_batch(batch, Durability::Durable).unwrap();
     }
-    let stats = store.stats();
-    assert!(stats.cleaner_passes > 0, "cleaner never ran");
+    let stats = store.obs_snapshot();
     assert!(
-        stats.cleaner_segments_freed > 0,
-        "cleaner never freed a segment"
+        stats.counter("chunk.cleaner_passes") > 0,
+        "cleaner never ran"
     );
+    let freed = stats.counter("chunk.cleaner_segments_freed");
+    assert!(freed > 0, "cleaner never freed a segment");
 
     // The database stays bounded: live data is ~16*~120B, so a handful of
     // segments suffices. Without cleaning we would have hundreds.
@@ -791,7 +792,7 @@ fn snapshot_survives_cleaning() {
         }
         store.commit_batch(batch, Durability::Durable).unwrap();
     }
-    assert!(store.stats().cleaner_passes > 0);
+    assert!(store.obs_snapshot().counter("chunk.cleaner_passes") > 0);
     for id in &ids {
         assert_eq!(
             store.read_at_snapshot(&snap, *id).unwrap(),
@@ -862,38 +863,22 @@ fn empty_snapshot_of_fresh_store() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn stats_track_write_amplification_sources() {
-    let fx = Fixture::new();
-    let store = fx.create();
-    let before = store.stats();
-    let mut batch = store.begin_batch();
-    let id = batch.allocate_chunk_id().unwrap();
-    batch.write(id, &[7u8; 100]).unwrap();
-    store.commit_batch(batch, Durability::Durable).unwrap();
-    let after = store.stats();
-    let delta = after.since(&before);
-    assert_eq!(delta.commits, 1);
-    assert_eq!(delta.durable_commits, 1);
-    assert!(delta.chunk_bytes_appended >= 100);
-    assert!(delta.commit_bytes_appended > 0);
-    assert!(delta.syncs >= 1);
-    assert_eq!(delta.counter_increments, 1);
-    assert!(delta.bytes_appended >= delta.chunk_bytes_appended + delta.commit_bytes_appended);
-}
-
-#[test]
 fn nondurable_commits_do_not_sync_or_touch_counter() {
     let fx = Fixture::new();
     let store = fx.create();
     let mut batch = store.begin_batch();
     let id = batch.allocate_chunk_id().unwrap();
     batch.write(id, b"x").unwrap();
-    let before = store.stats();
+    let before = store.obs_snapshot();
     let counter_before = fx.counter.read().unwrap();
     store.commit_batch(batch, Durability::Lazy).unwrap();
-    let delta = store.stats().since(&before);
-    assert_eq!(delta.syncs, 0, "nondurable commit must not sync");
-    assert_eq!(delta.anchor_writes, 0);
+    let delta = store.obs_snapshot().since(&before);
+    assert_eq!(
+        delta.counter("chunk.syncs"),
+        0,
+        "nondurable commit must not sync"
+    );
+    assert_eq!(delta.counter("chunk.anchor_writes"), 0);
     assert_eq!(fx.counter.read().unwrap(), counter_before);
 }
 

@@ -103,7 +103,7 @@ impl Rig {
 }
 
 fn redos(store: &ChunkStore) -> u64 {
-    store.obs_snapshot().counters["xshard.redos"]
+    store.obs_snapshot().counter("xshard.redos")
 }
 
 fn assert_all(store: &ChunkStore, ids: &[ChunkId], tag: &str) {

@@ -77,7 +77,7 @@ pub mod txn;
 pub use chunk_store::{ChunkId, Durability, Proven};
 pub use class::{pickle_object, ClassId, ClassRegistry, Persistent, UnpickleFn};
 pub use error::{ObjectStoreError, Result};
-pub use locks::{LockMode, LockStats};
+pub use locks::LockMode;
 pub use pickle::{PickleError, Pickler, Unpickler};
 pub use read_txn::ReadTransaction;
 pub use reader::ObjectReader;

@@ -90,28 +90,17 @@ impl LockTable {
     }
 }
 
-/// Cumulative lock-manager statistics (see [`LockManager::stats`]).
+/// The lock manager's registry instruments.
 ///
 /// Timeouts are counted distinctly: `timeouts_deadlock` when the timed-out
 /// wait was part of a wait-for cycle (the timeout broke a deadlock, §4.1),
 /// `timeouts_contention` when the holder simply never released in time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Lock acquisitions requested (fast or slow path, granted or not).
-    pub acquires: u64,
-    /// Acquisitions that had to block.
-    pub waits: u64,
-    /// Successful shared→exclusive upgrades of an already-held lock.
-    pub upgrades: u64,
-    /// Waits that timed out without a wait-for cycle.
-    pub timeouts_contention: u64,
-    /// Waits that timed out while part of a wait-for cycle.
-    pub timeouts_deadlock: u64,
-}
-
 struct LockCounters {
+    /// Lock acquisitions requested (fast or slow path, granted or not).
     acquires: Counter,
+    /// Acquisitions that had to block.
     waits: Counter,
+    /// Successful shared→exclusive upgrades of an already-held lock.
     upgrades: Counter,
     timeouts_contention: Counter,
     timeouts_deadlock: Counter,
@@ -204,17 +193,6 @@ impl LockManager {
             }
         }
         false
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> LockStats {
-        LockStats {
-            acquires: self.obs.acquires.get(),
-            waits: self.obs.waits.get(),
-            upgrades: self.obs.upgrades.get(),
-            timeouts_contention: self.obs.timeouts_contention.get(),
-            timeouts_deadlock: self.obs.timeouts_deadlock.get(),
-        }
     }
 
     /// Acquire `mode` on `oid` for `txn`, waiting up to `timeout`.
@@ -481,20 +459,22 @@ mod tests {
 
     #[test]
     fn contention_timeout_counted_distinctly() {
-        let lm = LockManager::new();
+        let reg = Registry::new();
+        let lm = LockManager::with_registry(&reg);
         lm.acquire(1, oid(1), LockMode::Exclusive, T).unwrap();
         // Txn 1 is not waiting on anything: no cycle, plain contention.
         assert!(lm.acquire(2, oid(1), LockMode::Shared, T).is_err());
-        let stats = lm.stats();
-        assert_eq!(stats.timeouts_contention, 1);
-        assert_eq!(stats.timeouts_deadlock, 0);
-        assert_eq!(stats.waits, 1);
-        assert_eq!(stats.acquires, 2);
+        let stats = reg.snapshot();
+        assert_eq!(stats.counter("lock.timeouts_contention"), 1);
+        assert_eq!(stats.counter("lock.timeouts_deadlock"), 0);
+        assert_eq!(stats.counter("lock.waits"), 1);
+        assert_eq!(stats.counter("lock.acquires"), 2);
     }
 
     #[test]
     fn deadlock_timeout_counted_distinctly() {
-        let lm = Arc::new(LockManager::new());
+        let reg = Registry::new();
+        let lm = Arc::new(LockManager::with_registry(&reg));
         lm.acquire(1, oid(1), LockMode::Exclusive, T).unwrap();
         lm.acquire(2, oid(2), LockMode::Exclusive, T).unwrap();
         // Txn 2 blocks on txn 1's object with a long timeout...
@@ -504,8 +484,9 @@ mod tests {
         // ... so when txn 1 blocks on txn 2's object and times out, the
         // wait-for graph has the cycle 1 → o2 → 2 → o1 → 1.
         assert!(lm.acquire(1, oid(2), LockMode::Exclusive, T).is_err());
-        assert_eq!(lm.stats().timeouts_deadlock, 1);
-        assert_eq!(lm.stats().timeouts_contention, 0);
+        let stats = reg.snapshot();
+        assert_eq!(stats.counter("lock.timeouts_deadlock"), 1);
+        assert_eq!(stats.counter("lock.timeouts_contention"), 0);
         // Breaking the deadlock by releasing txn 1 lets txn 2 proceed.
         lm.release_all(1);
         t2.join().unwrap().unwrap();
@@ -513,12 +494,13 @@ mod tests {
 
     #[test]
     fn upgrades_counted() {
-        let lm = LockManager::new();
+        let reg = Registry::new();
+        let lm = LockManager::with_registry(&reg);
         lm.acquire(1, oid(1), LockMode::Shared, T).unwrap();
         lm.acquire(1, oid(1), LockMode::Exclusive, T).unwrap();
         // Re-granting an exclusive lock is not another upgrade.
         lm.acquire(1, oid(1), LockMode::Exclusive, T).unwrap();
-        assert_eq!(lm.stats().upgrades, 1);
+        assert_eq!(reg.snapshot().counter("lock.upgrades"), 1);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::class::{ClassRegistry, Persistent};
 use crate::error::{ObjectStoreError, Result};
-use crate::locks::{LockManager, LockStats};
+use crate::locks::LockManager;
 use crate::pickle::{Pickler, Unpickler};
 use crate::txn::{Transaction, TxnCore};
 use crate::{ChunkId, ObjectId};
@@ -224,7 +224,6 @@ struct CacheObs {
     evictions: Counter,
     /// Mirrors the summed shard occupancy via deltas.
     bytes_gauge: Gauge,
-    pinned_gauge: Gauge,
 }
 
 pub(crate) struct StoreState {
@@ -344,7 +343,6 @@ impl ObjectStore {
                     misses: obs.counter("cache.misses"),
                     evictions: obs.counter("cache.evictions"),
                     bytes_gauge: obs.gauge("cache.bytes"),
-                    pinned_gauge: obs.gauge("cache.pinned_bytes"),
                 },
                 next_txn: AtomicU64::new(1),
                 locks: LockManager::with_registry(&obs),
@@ -489,7 +487,8 @@ impl ObjectStore {
         Ok(self.inner.chunks.trust_anchor()?)
     }
 
-    /// Cache statistics (summed over the shards).
+    /// Cache statistics (summed over the shards). A pure read; pinned bytes
+    /// come from a scan of the shards.
     pub fn cache_stats(&self) -> CacheStats {
         let mut bytes = 0usize;
         let mut pinned = 0usize;
@@ -501,7 +500,6 @@ impl ObjectStore {
             objects += shard.cache.len() as u64;
         }
         let obs = &self.inner.cache_obs;
-        obs.pinned_gauge.set(pinned as i64);
         CacheStats {
             hits: obs.hits.get(),
             misses: obs.misses.get(),
@@ -510,11 +508,6 @@ impl ObjectStore {
             pinned_bytes: pinned as u64,
             objects,
         }
-    }
-
-    /// Lock-manager statistics.
-    pub fn lock_stats(&self) -> LockStats {
-        self.inner.locks.stats()
     }
 
     /// The stack's observability registry (owned by the chunk store; the

@@ -310,3 +310,36 @@ fn cache_stats_accounting() {
     );
     assert!(s1.bytes > 0 && s1.objects > 0);
 }
+
+/// Every `cache.*` gauge in the registry agrees with the cache's own scan
+/// while dirty objects are pinned in an open transaction — read before
+/// anything calls `cache_stats()`, so a gauge that only that call refreshes
+/// would show up stale here.
+#[test]
+fn cache_gauges_match_the_cache_scan_with_dirty_objects_held() {
+    let os = store_with(ObjectStoreConfig {
+        cache_budget: 4096,
+        ..Default::default()
+    });
+    let t = os.begin();
+    for i in 0..8u32 {
+        t.insert(Box::new(Blob {
+            tag: i,
+            data: vec![i as u8; 700],
+        }))
+        .unwrap();
+    }
+    let gauges = os.chunk_store().obs_snapshot().gauges;
+    let scan = os.cache_stats();
+    assert!(scan.pinned_bytes > 0, "dirty objects must be pinned");
+    assert!(gauges.contains_key("cache.bytes"));
+    for (name, value) in gauges.iter().filter(|(n, _)| n.starts_with("cache.")) {
+        let scanned = match name.as_str() {
+            "cache.bytes" => scan.bytes,
+            "cache.pinned_bytes" => scan.pinned_bytes,
+            other => panic!("gauge {other} has no counterpart in the cache scan"),
+        };
+        assert_eq!(*value as u64, scanned, "{name} disagrees with the scan");
+    }
+    t.commit(Durability::Durable).unwrap();
+}

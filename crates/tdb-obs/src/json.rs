@@ -209,7 +209,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -270,8 +270,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes (bench results, diag dumps, proof dumps) nests fewer
+/// than ten levels; the cap keeps hostile input from overflowing the stack
+/// of the recursive descent.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth >= MAX_DEPTH && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -287,7 +296,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -309,7 +318,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -391,15 +400,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid by construction).
-                let tail = &bytes[*pos..];
-                let ch_len = std::str::from_utf8(tail)
-                    .ok()
-                    .and_then(|s| s.chars().next())
-                    .map(|c| c.len_utf8())
+                // Advance over one UTF-8 scalar. The input is a &str and
+                // every other step moves over ASCII, so `pos` is on a char
+                // boundary and the lead byte gives the scalar's length
+                // (decoding only that scalar keeps long strings linear).
+                let ch_len = match bytes[*pos] {
+                    b if b < 0x80 => 1,
+                    b if b >= 0xF0 => 4,
+                    b if b >= 0xE0 => 3,
+                    _ => 2,
+                };
+                let ch = bytes
+                    .get(*pos..*pos + ch_len)
+                    .and_then(|c| std::str::from_utf8(c).ok())
                     .ok_or_else(|| format!("invalid utf-8 at byte {}", *pos))?;
-                out.push_str(std::str::from_utf8(&tail[..ch_len]).unwrap());
+                out.push_str(ch);
                 *pos += ch_len;
             }
         }

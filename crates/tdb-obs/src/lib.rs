@@ -16,8 +16,8 @@
 //! name map. Timing can be disabled at runtime ([`set_enabled`], or the
 //! `TDB_OBS=off` environment variable) or compiled out entirely with the
 //! `compile-out` cargo feature. Counters and gauges stay live in both cases
-//! because layer semantics (chunk-store `StatsSnapshot`, object-store
-//! `CacheStats`) are built on them; only clock reads and histogram recording
+//! because the registry is the workspace's only counter API (read through
+//! [`RegistrySnapshot::counter`]); only clock reads and histogram recording
 //! are elided.
 
 #![forbid(unsafe_code)]
@@ -405,6 +405,20 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// The counter `name`.
+    ///
+    /// # Panics
+    ///
+    /// If no counter `name` is registered: a misspelt name, or a `chunk.*`
+    /// name read from the unfolded [`Registry::snapshot`] of a multi-shard
+    /// store (which only has `shard{k}.chunk.*`), would otherwise read 0.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.counters.get(name) {
+            Some(v) => *v,
+            None => panic!("no counter named {name:?} in this registry snapshot"),
+        }
+    }
+
     /// Delta since `earlier`: counters and histogram counts are subtracted,
     /// gauges keep their current (point-in-time) values. Instruments absent
     /// from `earlier` are treated as zero.

@@ -210,6 +210,7 @@ fn json_roundtrips_structures() {
         "string",
         "with \"quotes\" and \\ and \n control \u{1} chars",
     );
+    doc.push("multibyte", "h\u{e9}llo \u{20ac} \u{1d11e}");
     doc.push("bool", true);
     doc.push("null", Json::Null);
     doc.push("arr", Json::array([Json::from(1u64), Json::from("two")]));
@@ -237,6 +238,31 @@ fn json_parser_rejects_garbage() {
     ] {
         assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
     }
+}
+
+#[test]
+fn json_parser_caps_nesting_depth() {
+    // Without the cap a million brackets overflow the parser's stack and
+    // abort the process; with it they are an ordinary error.
+    for open in ["[", "{\"k\":"] {
+        let deep = open.repeat(1_000_000);
+        assert!(Json::parse(&deep).is_err(), "accepted deep {open:?}");
+    }
+    // Nesting well past anything the workspace writes still parses.
+    for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+        let nested = format!("{}1{}", open.repeat(100), close.repeat(100));
+        assert!(Json::parse(&nested).is_ok());
+    }
+}
+
+#[test]
+fn snapshot_counter_reads_registered_names_only() {
+    let reg = Registry::new();
+    reg.counter("chunk.commits").add(3);
+    let snap = reg.snapshot();
+    assert_eq!(snap.counter("chunk.commits"), 3);
+    let typo = std::panic::catch_unwind(|| snap.counter("chunk.comits"));
+    assert!(typo.is_err(), "an unknown name must panic, not read 0");
 }
 
 #[test]

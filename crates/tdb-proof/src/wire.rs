@@ -459,15 +459,20 @@ pub fn to_hex(bytes: &[u8]) -> String {
     s
 }
 
-/// Parse lowercase/uppercase hex.
+/// Parse lowercase/uppercase hex. Works on bytes, so a non-ASCII character
+/// is an invalid digit rather than a slice across a char boundary.
 pub fn from_hex(s: &str) -> Result<Vec<u8>, WireError> {
-    let s = s.trim();
+    let s = s.trim().as_bytes();
     if !s.len().is_multiple_of(2) {
         return Err(err("odd-length hex string"));
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|_| err("invalid hex digit")))
+    let digit = |b: u8| {
+        (b as char)
+            .to_digit(16)
+            .ok_or_else(|| err("invalid hex digit"))
+    };
+    s.chunks_exact(2)
+        .map(|pair| Ok((digit(pair[0])? * 16 + digit(pair[1])?) as u8))
         .collect()
 }
 
@@ -583,5 +588,7 @@ mod tests {
         assert_eq!(from_hex(" DEAD01 ").unwrap(), vec![0xde, 0xad, 0x01]);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
+        assert!(from_hex("+f").is_err());
+        assert!(from_hex("a\u{e9}a").is_err());
     }
 }

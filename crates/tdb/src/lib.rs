@@ -85,7 +85,7 @@ pub use backup_store::{BackupError, BackupManager};
 pub use chunk_store::Proven;
 pub use chunk_store::{
     ChunkId, ChunkStore, ChunkStoreConfig, ChunkStoreError, RecoveryReport, SecurityMode, Snapshot,
-    SnapshotDiff, StatsSnapshot,
+    SnapshotDiff,
 };
 pub use collection_store::{
     CIter, CTransaction, Collection, CollectionError, CollectionStore, ExtractorFn,
@@ -330,11 +330,6 @@ impl Database {
     /// Idle-time maintenance: run a cleaner pass; returns segments freed.
     pub fn clean(&self) -> Result<usize> {
         Ok(self.chunk_store().clean()?)
-    }
-
-    /// Chunk-level operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.chunk_store().stats()
     }
 
     /// The observability registry shared by every layer of this database

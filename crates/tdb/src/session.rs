@@ -462,14 +462,13 @@ pub(crate) fn restore_is_offline() -> Error {
     )
 }
 
-/// Assemble [`SessionStats`] from a database's stats + obs registry.
+/// Assemble [`SessionStats`] from a database's obs registry.
 pub fn session_stats(db: &crate::Database) -> SessionStats {
-    let stats = db.stats();
     let snap = db.chunk_store().obs_snapshot();
     let group = snap.histograms.get("commit.group_size");
     SessionStats {
         disk_size: db.disk_size(),
-        bytes_appended: stats.bytes_appended,
+        bytes_appended: snap.counter("chunk.bytes_appended"),
         shards: db.chunk_store().shards() as u64,
         group_size_count: group.map(|h| h.count()).unwrap_or(0),
         group_size_sum: group.map(|h| h.sum).unwrap_or(0),

@@ -473,14 +473,10 @@ fn slow_holder_timeout_classified_as_contention() {
         });
     });
 
-    let snap = db.obs().snapshot();
-    let counters = &snap.counters;
-    assert_eq!(counters.get("lock.timeouts_contention").copied(), Some(1));
-    assert_eq!(
-        counters.get("lock.timeouts_deadlock").copied().unwrap_or(0),
-        0,
-        "a slow holder is not a deadlock"
-    );
+    let snap = db.chunk_store().obs_snapshot();
+    assert_eq!(snap.counter("lock.timeouts_contention"), 1);
+    let deadlocks = snap.counter("lock.timeouts_deadlock");
+    assert_eq!(deadlocks, 0, "a slow holder is not a deadlock");
 }
 
 /// Two transactions acquiring the same pair of objects in opposite order
@@ -647,11 +643,11 @@ fn transfers_survive_forced_background_cleaning() {
         });
     });
 
-    let stats = db.chunk_store().stats();
-    assert!(
-        stats.cleaner_passes > 0,
-        "the workload must have forced cleaning: {stats:?}"
-    );
+    let passes = db
+        .chunk_store()
+        .obs_snapshot()
+        .counter("chunk.cleaner_passes");
+    assert!(passes > 0, "the workload must have forced cleaning");
     let (seen, balance_sum, hits_sum, per) = scan_accounts(&db);
     assert_eq!(seen, ACCOUNTS as usize);
     assert_eq!(balance_sum, 0, "transfers must conserve the balance sum");

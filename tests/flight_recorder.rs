@@ -285,7 +285,7 @@ fn segment_drops_appear_in_a_dump() {
     let id = batch.allocate_chunk_id().unwrap();
     st.commit_batch(batch, Durability::Durable).unwrap();
     let mut round = 0usize;
-    while st.stats().segments_dropped == 0 {
+    while st.obs_snapshot().counter("chunk.segments_dropped") == 0 {
         assert!(round < 1_000, "churn never dropped a segment");
         let mut batch = st.begin_batch();
         batch.write(id, &[round as u8; 600]).unwrap();
@@ -429,13 +429,12 @@ fn stall_storm_forced_cleaning_makes_progress() {
             }
         });
 
-        let stats = st.stats();
+        let stats = st.obs_snapshot();
         assert!(
-            stats.cleaner_passes > 0,
+            stats.counter("chunk.cleaner_passes") > 0,
             "round {round}: log never cleaned — storm config too loose \
-             (passes {}, stalls {})",
-            stats.cleaner_passes,
-            stats.maintenance_stalls,
+             (stalls {})",
+            stats.counter("chunk.maintenance_stalls"),
         );
         // Every chunk readable with its final contents.
         for (k, &id) in ids.iter().enumerate() {

@@ -1,8 +1,9 @@
 //! Observability integration tests: commit-path phase spans must account
 //! for the measured end-to-end durable-commit time, registry counter deltas
-//! must reconcile with the legacy `StatsSnapshot` view, and (as an
-//! `--ignored` benchmark guard) full instrumentation must cost < 2% of
-//! TPC-B throughput versus no-op mode.
+//! must count exactly the operations a test performed, recovery phases are
+//! timed on every open, and (as `--ignored` benchmark guards) full
+//! instrumentation and the flight recorder must each cost < 2% of TPC-B
+//! throughput.
 
 use std::sync::Arc;
 use tdb::obs;
@@ -151,19 +152,19 @@ fn commit_phase_lap_counts_match_across_interleaved_checkpoints() {
     assert_eq!(group_sum, commits, "groups must cover each commit once");
 }
 
-/// The `chunk.*` registry counters and the legacy [`StatsSnapshot`] read
-/// the same atomics, so deltas taken through either view must agree.
+/// Registry counter deltas count exactly the operations run between the
+/// two snapshots: 7 commits, 4 of them durable, and 1 checkpoint, on top of
+/// warm-up traffic that makes every base nonzero.
 #[test]
-fn registry_counter_deltas_reconcile_with_stats_snapshot() {
+fn registry_counter_deltas_match_known_counts() {
     let st = store(ChunkStoreConfig::default());
-    // Warm-up traffic so the deltas start from nonzero bases.
     let mut batch = st.begin_batch();
     let id0 = batch.allocate_chunk_id().unwrap();
     batch.write(id0, b"warmup").unwrap();
     st.commit_batch(batch, Durability::Durable).unwrap();
 
-    let stats_base = st.stats();
-    let obs_base = st.obs().snapshot();
+    let base = st.obs_snapshot();
+    assert!(base.counter("chunk.commits") > 0 && base.counter("chunk.bytes_appended") > 0);
     for i in 0..7 {
         let mut batch = st.begin_batch();
         let id = batch.allocate_chunk_id().unwrap();
@@ -172,26 +173,22 @@ fn registry_counter_deltas_reconcile_with_stats_snapshot() {
             .unwrap();
     }
     st.checkpoint().unwrap();
+    let delta = st.obs_snapshot().since(&base);
+    let c = |name: &str| delta.counter(&format!("chunk.{name}"));
 
-    let stats_delta = st.stats().since(&stats_base);
-    let obs_delta = st.obs().snapshot().since(&obs_base);
-    let counter = |name: &str| obs_delta.counters.get(name).copied().unwrap_or(0);
-
-    assert_eq!(counter("chunk.commits"), stats_delta.commits);
-    assert_eq!(
-        counter("chunk.durable_commits"),
-        stats_delta.durable_commits
-    );
-    assert_eq!(counter("chunk.bytes_appended"), stats_delta.bytes_appended);
-    assert_eq!(
-        counter("chunk.chunk_bytes_appended"),
-        stats_delta.chunk_bytes_appended
-    );
-    assert_eq!(counter("chunk.syncs"), stats_delta.syncs);
-    assert_eq!(counter("chunk.anchor_writes"), stats_delta.anchor_writes);
-    assert_eq!(counter("chunk.checkpoints"), stats_delta.checkpoints);
-    assert_eq!(stats_delta.checkpoints, 1);
-    assert!(stats_delta.commits == 7 && stats_delta.durable_commits == 4);
+    assert_eq!(c("commits"), 7);
+    assert_eq!(c("durable_commits"), 4);
+    assert_eq!(c("checkpoints"), 1);
+    // Seven 512-byte payloads went into chunk records, commit records were
+    // written, and every record kind is part of the total.
+    assert!(c("chunk_bytes_appended") >= 7 * 512 && c("commit_bytes_appended") > 0);
+    let records = c("chunk_bytes_appended") + c("commit_bytes_appended") + c("map_bytes_appended");
+    assert!(c("bytes_appended") >= records);
+    // One anchor per durable commit and one for the checkpoint; each anchor
+    // syncs and bumps the one-way counter exactly once.
+    assert_eq!(c("anchor_writes"), c("durable_commits") + c("checkpoints"));
+    assert_eq!(c("counter_increments"), c("anchor_writes"));
+    assert!(c("syncs") >= c("anchor_writes"));
 }
 
 /// Recovery phases are timed on every open.

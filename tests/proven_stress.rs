@@ -230,7 +230,7 @@ fn proofs_hold_under_writers_and_forced_cleaning() {
 
     // The proof machinery observed the traffic.
     let obs = db.obs().snapshot();
-    assert!(obs.counters["proof.proven_reads"] > 0);
-    assert!(obs.counters["proof.minted"] > 0);
-    assert!(obs.counters["proof.keyed_minted"] > 0);
+    assert!(obs.counter("proof.proven_reads") > 0);
+    assert!(obs.counter("proof.minted") > 0);
+    assert!(obs.counter("proof.keyed_minted") > 0);
 }

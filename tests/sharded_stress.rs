@@ -227,7 +227,7 @@ fn cross_shard_transfers_conserve_money_under_cleaning() {
     for i in 0..SHARDS {
         // Beyond the one commit that reserved its bookkeeping chunk.
         assert!(
-            obs.counters[&format!("shard{i}.chunk.commits")] > 1,
+            obs.counter(&format!("shard{i}.chunk.commits")) > 1,
             "shard {i} took no commits — the workload never spanned it"
         );
     }
