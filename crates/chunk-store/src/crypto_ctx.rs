@@ -5,7 +5,8 @@
 //!
 //! * [`CryptoCtx::seal`] / [`CryptoCtx::open`] encrypt/decrypt a payload
 //!   (AES-128-CBC with a fresh DRBG IV prepended) — or pass it through
-//!   unchanged when security is off;
+//!   unchanged when security is off. IVs come from a pool refilled by one
+//!   DRBG generate call per 32 of them;
 //! * [`CryptoCtx::hash`] computes the per-record SHA-256 digest stored in
 //!   the location map (the Merkle tree leaves and internal pointers);
 //! * [`CryptoCtx::chain`] extends the commit-record authentication chain
@@ -17,20 +18,62 @@ use crate::config::SecurityMode;
 use crate::error::{ChunkStoreError, Result};
 use parking_lot::Mutex;
 use tdb_crypto::{
-    cbc_decrypt, cbc_encrypt, cbc_encrypt_into, derive_key, derive_secret, hmac_sha256, sha256,
-    Aes128, Digest, HmacDrbg, DIGEST_LEN,
+    cbc_decrypt, cbc_encrypt, cbc_encrypt_into, derive_key, derive_secret, sha256, Aes128, Digest,
+    HmacDrbg, HmacSha256, DIGEST_LEN,
 };
 use tdb_platform::SecretStore;
 
 /// Zero digest used where hashing is disabled.
 pub const ZERO_DIGEST: Digest = [0u8; DIGEST_LEN];
 
+/// IVs handed out per DRBG generate call.
+const IV_POOL_LEN: usize = 32;
+
+/// CBC IVs drawn from one HMAC-DRBG generate call at a time: the pool holds
+/// [`IV_POOL_LEN`] consecutive 16-byte pieces of a single `fill` output
+/// (512 bytes, far under SP 800-90A's 2^19 bits per call) and refills when
+/// they are spent. The output of one call is a run of independent DRBG
+/// blocks, so its pieces are as unpredictable as separate calls' outputs;
+/// and since a generate call's first block is the same whatever its length,
+/// the first IV equals what a lone `gen_iv` would have returned.
+struct IvPool {
+    drbg: HmacDrbg,
+    buf: [u8; IV_POOL_LEN * 16],
+    /// Byte offset of the next unused IV; `buf.len()` when spent.
+    next: usize,
+}
+
+impl IvPool {
+    fn new(drbg: HmacDrbg) -> Self {
+        IvPool {
+            drbg,
+            buf: [0; IV_POOL_LEN * 16],
+            next: IV_POOL_LEN * 16,
+        }
+    }
+
+    fn next_iv(&mut self) -> [u8; 16] {
+        if self.next == self.buf.len() {
+            self.drbg.fill(&mut self.buf);
+            self.next = 0;
+        }
+        let iv = self.buf[self.next..self.next + 16]
+            .try_into()
+            .expect("16 bytes");
+        self.next += 16;
+        iv
+    }
+}
+
 /// The chunk store's crypto state: derived keys and the IV generator.
 pub struct CryptoCtx {
     mode: SecurityMode,
     cipher: Option<Aes128>,
     mac_secret: [u8; 32],
-    drbg: Mutex<HmacDrbg>,
+    /// HMAC keyed by `mac_secret`, cloned per tag (the pads are derived
+    /// once per open, not once per commit record or anchor).
+    mac: HmacSha256,
+    ivs: Mutex<IvPool>,
 }
 
 impl CryptoCtx {
@@ -63,7 +106,8 @@ impl CryptoCtx {
             mode,
             cipher,
             mac_secret,
-            drbg: Mutex::new(HmacDrbg::new(&seed)),
+            mac: HmacSha256::new(&mac_secret),
+            ivs: Mutex::new(IvPool::new(HmacDrbg::new(&seed))),
         })
     }
 
@@ -78,7 +122,7 @@ impl CryptoCtx {
     pub fn seal(&self, plain: &[u8]) -> Vec<u8> {
         match &self.cipher {
             Some(aes) => {
-                let iv = self.drbg.lock().gen_iv();
+                let iv = self.ivs.lock().next_iv();
                 let cipher = cbc_encrypt(aes, &iv, plain);
                 let mut out = Vec::with_capacity(16 + cipher.len());
                 out.extend_from_slice(&iv);
@@ -96,7 +140,7 @@ impl CryptoCtx {
     pub fn seal_into(&self, plain: &[u8], out: &mut Vec<u8>) -> usize {
         match &self.cipher {
             Some(aes) => {
-                let iv = self.drbg.lock().gen_iv();
+                let iv = self.ivs.lock().next_iv();
                 out.extend_from_slice(&iv);
                 16 + cbc_encrypt_into(aes, &iv, plain, out)
             }
@@ -154,7 +198,7 @@ impl CryptoCtx {
     pub fn chain(&self, prev: &Digest, payload: &[u8]) -> Digest {
         match self.mode {
             SecurityMode::Full => {
-                let mut mac = tdb_crypto::HmacSha256::new(&self.mac_secret);
+                let mut mac = self.mac.clone();
                 mac.update(prev);
                 mac.update(payload);
                 mac.finalize()
@@ -179,7 +223,7 @@ impl CryptoCtx {
     /// difference is a genuine configuration mismatch or tampering.
     pub fn anchor_tag_for_mode(&self, mode: SecurityMode, bytes: &[u8]) -> Digest {
         match mode {
-            SecurityMode::Full => hmac_sha256(&self.mac_secret, bytes),
+            SecurityMode::Full => self.mac.mac(bytes),
             SecurityMode::Off => sha256(bytes),
         }
     }
@@ -196,6 +240,11 @@ impl CryptoCtx {
     /// *untrusted store* behaved.
     pub(crate) fn proof_mac_key(&self) -> &[u8; 32] {
         &self.mac_secret
+    }
+
+    /// [`proof_mac_key`](Self::proof_mac_key) as a keyed HMAC template.
+    pub(crate) fn proof_mac(&self) -> &HmacSha256 {
+        &self.mac
     }
 }
 
@@ -314,6 +363,36 @@ mod tests {
         assert_ne!(a.seal(b"x"), b.seal(b"x"));
     }
 
+    /// The pool's first IV is the one a lone `gen_iv` on the same DRBG seed
+    /// returns, which keeps anchor slots written by a fresh context
+    /// byte-identical to those of the one-IV-per-call generator.
+    #[test]
+    fn first_pooled_iv_equals_gen_iv() {
+        let store = MemSecretStore::from_label("ctx-test");
+        let master = store.master_secret().unwrap();
+        let mut seed = derive_secret(&master, "tdb.chunk.iv").to_vec();
+        seed.extend_from_slice(&1u64.to_le_bytes());
+        let sealed = ctx(SecurityMode::Full).seal(b"x");
+        assert_eq!(sealed[..16], HmacDrbg::new(&seed).gen_iv());
+    }
+
+    #[test]
+    fn pooled_ivs_never_repeat_within_or_across_salts() {
+        let store = MemSecretStore::from_label("iv-pool");
+        let draw = |salt: u64| {
+            let c = CryptoCtx::new(SecurityMode::Full, &store, salt).unwrap();
+            let mut pool = c.ivs.lock();
+            (0..100_000)
+                .map(|_| pool.next_iv())
+                .collect::<std::collections::HashSet<_>>()
+        };
+        let a = draw(1);
+        assert_eq!(a.len(), 100_000, "an IV repeated within one stream");
+        let b = draw(2);
+        assert_eq!(b.len(), 100_000);
+        assert!(a.is_disjoint(&b), "two salts shared an IV");
+    }
+
     #[test]
     fn anchor_tag_modes() {
         let full = ctx(SecurityMode::Full);
@@ -322,6 +401,11 @@ mod tests {
         let t_off = off.anchor_tag(b"anchor");
         // Off mode is a plain hash: reproducible without the key.
         assert_eq!(t_off, sha256(b"anchor"));
+        // The keyed template tags exactly as a one-shot HMAC would.
+        assert_eq!(
+            t_full,
+            tdb_crypto::hmac_sha256(full.proof_mac_key(), b"anchor")
+        );
         assert_ne!(t_full, t_off);
         assert!(CryptoCtx::tags_equal(&t_full, &full.anchor_tag(b"anchor")));
     }

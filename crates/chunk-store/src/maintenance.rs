@@ -335,7 +335,7 @@ pub(crate) fn run(core: Arc<StoreCore>) {
         let pending = core.rehash_pending.lock().take();
         if let Some(root) = pending {
             let mut sw = tdb_obs::Stopwatch::start();
-            crate::map::rehash_root_batched(&root);
+            root.proof_hash();
             if sw.running() {
                 core.stats.phases.maint_rehash.record(sw.lap());
             }

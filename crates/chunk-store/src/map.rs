@@ -604,56 +604,6 @@ fn slot_at(fanout: usize, id: u64, level: u32) -> usize {
     ((id as u128 / (fanout as u128).pow(level - 1)) % fanout as u128) as usize
 }
 
-/// Recompute every missing proof-hash memo in a frozen subtree in one
-/// bottom-up pass, then return the root's canonical hash. Nodes with a
-/// memo are pruned (their whole subtree is already hashed — the memo is
-/// only ever cleared along dirtied paths), so the pass visits exactly the
-/// union of the group's dirty root-to-leaf paths, each shared upper node
-/// once. Whole levels are hashed through [`tdb_crypto::sha256_batch`],
-/// which keeps multiple SHA-256 message schedules in flight.
-///
-/// Bit-identical to the incremental per-path hashing ([`Node::proof_hash`]
-/// computes the same [`tdb_proof::tree::hash_node`] preimages), and safe
-/// on a shared frozen root: memos land via `OnceLock::set`, so a racing
-/// lazy hasher just wins (or loses) the same value.
-pub(crate) fn rehash_root_batched(root: &Node) -> Digest {
-    fn collect<'a>(node: &'a Node, depth: usize, levels: &mut Vec<Vec<&'a Node>>) {
-        if node.proof.get().is_some() {
-            return;
-        }
-        if levels.len() <= depth {
-            levels.resize_with(depth + 1, Vec::new);
-        }
-        levels[depth].push(node);
-        if let NodeKind::Inner(children) = &node.kind {
-            for child in children.iter().flatten() {
-                collect(child, depth + 1, levels);
-            }
-        }
-    }
-    let mut levels: Vec<Vec<&Node>> = Vec::new();
-    collect(root, 0, &mut levels);
-    // Deepest level first: every child is memoized before its parent's
-    // preimage (which embeds the child digests) is materialized.
-    for level in levels.iter().rev() {
-        let preimages: Vec<Vec<u8>> = level
-            .iter()
-            .map(|n| {
-                let entries = n.proof_entries();
-                tdb_proof::tree::node_preimage(
-                    matches!(n.kind, NodeKind::Leaf(_)),
-                    entries.iter().map(|(s, d)| (*s, d)),
-                )
-            })
-            .collect();
-        let refs: Vec<&[u8]> = preimages.iter().map(|p| p.as_slice()).collect();
-        for (n, d) in level.iter().zip(tdb_crypto::sha256_batch(&refs)) {
-            let _ = n.proof.set(d);
-        }
-    }
-    root.proof_hash()
-}
-
 // ---------------------------------------------------------------------------
 // Page (de)serialization
 // ---------------------------------------------------------------------------
@@ -1341,30 +1291,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_rehash_matches_incremental() {
-        let mut m = LocationMap::new(4, true);
-        for id in [0u64, 1, 5, 17, 63, 64, 200] {
-            m.set(ChunkId(id), loc(id as u32));
-        }
-        // Incremental reference on an identical twin.
-        let mut twin = LocationMap::new(4, true);
-        for id in [0u64, 1, 5, 17, 63, 64, 200] {
-            twin.set(ChunkId(id), loc(id as u32));
-        }
-        let (root, depth) = m.freeze();
-        assert_eq!(rehash_root_batched(&root), twin.freeze().0.proof_hash());
-        // Paths minted off the batched-rehash root equal the lazy ones.
-        for id in [0u64, 5, 6, 200, 1 << 30] {
-            let (p1, l1) = proof_path_in_root(&root, depth, 4, ChunkId(id));
-            let (p2, l2) = proof_path_in_root(&twin.freeze().0, depth, 4, ChunkId(id));
-            assert_eq!(p1, p2, "id {id}");
-            assert_eq!(l1, l2);
-        }
-        // A second pass is a no-op (everything memoized).
-        assert_eq!(rehash_root_batched(&root), root.proof_hash());
-    }
-
-    #[test]
     fn proof_paths_link_and_cover_absence() {
         let mut m = LocationMap::new(4, true);
         for id in [0u64, 5, 17] {
@@ -1445,12 +1371,11 @@ mod tests {
     }
 
     /// Equivalence oracle for the commit path's batched tree maintenance:
-    /// a map driven by [`LocationMap::apply_batch`] +
-    /// [`rehash_root_batched`] must be bit-identical — root digest and
-    /// every proof path — to one driven by per-op [`LocationMap::set`]/
-    /// [`LocationMap::remove`] with the incremental (lazy, per-path)
-    /// [`Node::proof_hash`] recursion, across random interleavings of
-    /// inserts, updates, removes, and cleaner-style relocations.
+    /// a map driven by [`LocationMap::apply_batch`] must be bit-identical —
+    /// root digest and every proof path — to one driven by per-op
+    /// [`LocationMap::set`]/[`LocationMap::remove`], across random
+    /// interleavings of inserts, updates, removes, and cleaner-style
+    /// relocations.
     mod batched_equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -1521,9 +1446,7 @@ mod tests {
                     let (inc_root, inc_depth) = inc.freeze();
                     let (bat_root, bat_depth) = bat.freeze();
                     prop_assert_eq!(inc_depth, bat_depth);
-                    // One bottom-up batched pass vs the lazy recursion.
-                    let batched = rehash_root_batched(&bat_root);
-                    prop_assert_eq!(inc_root.proof_hash(), batched);
+                    prop_assert_eq!(inc_root.proof_hash(), bat_root.proof_hash());
                     // Proof paths bit-identical for every id ever touched,
                     // plus absent and beyond-capacity probes.
                     for id in touched.iter().copied().chain([599, 100_000]) {

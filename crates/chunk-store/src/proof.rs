@@ -59,7 +59,7 @@ pub struct ProofBookmark {
 impl ProofBookmark {
     /// Build the proof from the pinned snapshot.
     pub fn prove(&self) -> Result<ChunkProof> {
-        let mac_key = self.ctx.proof_mac_key();
+        let mac = self.ctx.proof_mac();
         let (path, _) =
             map::proof_path_in_root(&self.core.root, self.core.depth, self.core.fanout, self.cid);
         let root_hash = path[0].hash();
@@ -71,7 +71,7 @@ impl ProofBookmark {
             depth,
             fanout,
             tag: tree::attestation_tag(
-                mac_key,
+                mac,
                 self.core.counter_value,
                 self.core.seq,
                 depth,
@@ -86,7 +86,7 @@ impl ProofBookmark {
             } => ChunkOutcome::Included {
                 sealed_hash: *sealed_hash,
                 plain_hash: *plain_hash,
-                content_tag: tree::content_tag(mac_key, self.proof_id, sealed_hash, plain_hash),
+                content_tag: tree::content_tag(mac, self.proof_id, sealed_hash, plain_hash),
             },
             BookmarkOutcome::Absent => ChunkOutcome::Absent,
         };

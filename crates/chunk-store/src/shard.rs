@@ -683,7 +683,7 @@ pub(crate) struct StoreCore {
     /// shutdown). Present even with `background_maintenance` off — the
     /// thread is simply never spawned and committers drive the rounds.
     pub(crate) maint: MaintShared,
-    /// Frozen map root awaiting a batched Merkle memo pass, handed to the
+    /// Frozen map root awaiting a Merkle memo pass, handed to the
     /// maintenance thread by the group-commit leader. Only the latest
     /// root matters — its memo pass covers every earlier round's dirty
     /// paths too (shared nodes), so consecutive rounds coalesce and hot
@@ -715,8 +715,8 @@ impl StoreCore {
 
     /// Seal a batch's staged operations outside any store lock. Every
     /// write seals straight into one shared arena (no per-chunk ciphertext
-    /// vector), and the record hashes for the whole batch are computed in
-    /// one multi-lane SHA-256 pass over the arena slices.
+    /// vector) and is hashed as soon as it is sealed, while its bytes are
+    /// still in cache.
     fn seal_ops(
         &self,
         ops: BTreeMap<u64, Option<Vec<u8>>>,
@@ -735,32 +735,13 @@ impl StoreCore {
                     lap.ser_ns += lap.sw.lap();
                     let start = arena.len();
                     let n = self.ctx.seal_into(&payload, &mut arena);
+                    let range = start..start + n;
+                    let hash = self.ctx.hash(&arena[range.clone()]);
                     lap.seal_ns += lap.sw.lap();
-                    sealed_ops.push(SealedOp::Write {
-                        id,
-                        range: start..start + n,
-                        hash: crate::crypto_ctx::ZERO_DIGEST,
-                    });
+                    sealed_ops.push(SealedOp::Write { id, range, hash });
                 }
                 None => sealed_ops.push(SealedOp::Dealloc(id)),
             }
-        }
-        if self.ctx.verifies_hashes() {
-            lap.sw.lap();
-            let slices: Vec<&[u8]> = sealed_ops
-                .iter()
-                .filter_map(|op| match op {
-                    SealedOp::Write { range, .. } => Some(&arena[range.clone()]),
-                    SealedOp::Dealloc(_) => None,
-                })
-                .collect();
-            let mut digests = tdb_crypto::sha256_batch(&slices).into_iter();
-            for op in &mut sealed_ops {
-                if let SealedOp::Write { hash, .. } = op {
-                    *hash = digests.next().expect("one digest per sealed write");
-                }
-            }
-            lap.seal_ns += lap.sw.lap();
         }
         (sealed_ops, arena)
     }
@@ -847,8 +828,13 @@ impl StoreCore {
         })
     }
 
-    /// Complete a commit: no-op for nondurable tickets; group-commit wait
-    /// (leading an anchor round if nobody else is) for durable ones.
+    /// Complete a commit: group-commit wait (leading an anchor round if
+    /// nobody else is) for durable tickets. A nondurable one only checks
+    /// the maintenance watermarks and kicks the thread if a round is due:
+    /// its records grow the log like any other, so a run of lazy commits
+    /// must still get checkpoints and cleaning. With no thread the round
+    /// waits for the next durable commit — run here, its checkpoint would
+    /// harden this and earlier lazy commits before anything durable asked.
     fn wait_ticket(&self, ticket: ShardTicket) -> Result<()> {
         let ShardTicket {
             seq,
@@ -858,6 +844,9 @@ impl StoreCore {
             mut total,
         } = ticket;
         if !durable {
+            if !empty && self.maintenance_due() {
+                self.maint.observe_and_kick();
+            }
             return Ok(());
         }
         if empty {
@@ -1008,7 +997,7 @@ impl StoreCore {
             let (files, tail) = inner.segs.take_touched_deferred()?;
             inner.sync_inflight.extend(files.iter().map(|(s, _)| *s));
             // Freeze the map root so the dirty Merkle paths can be
-            // rehashed in one batched bottom-up pass outside the lock. The
+            // rehashed in one memoizing pass outside the lock. The
             // memos install into the shared nodes, so later proof minting
             // (and the next freeze) finds them ready-made.
             let frozen_root = self.ctx.verifies_hashes().then(|| inner.map.freeze().0);
@@ -1051,7 +1040,7 @@ impl StoreCore {
                     }
                 }
             } else {
-                crate::map::rehash_root_batched(&root);
+                root.proof_hash();
                 sw.lap_into(&self.stats.phases.rehash);
             }
         }
@@ -1114,18 +1103,22 @@ impl StoreCore {
         out
     }
 
+    /// Whether a watermark says a maintenance round is due: the residual
+    /// log reached the checkpoint threshold, or free segments ran low while
+    /// utilization still leaves something to reclaim.
+    fn maintenance_due(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.residual_bytes >= inner.cfg.checkpoint_threshold
+            || (inner.segs.free_count() < inner.cfg.effective_low_free()
+                && inner.segs.utilization() <= inner.cfg.max_utilization)
+    }
+
     /// Post-commit housekeeping: a watermark check, then one maintenance
     /// round if it says so — kicked to the maintenance thread when there is
     /// one (the checkpoint and cleaning happen off the commit path), run by
     /// this committer otherwise.
     fn after_commit_maintenance(&self) -> Result<()> {
-        let need = {
-            let inner = self.inner.lock();
-            inner.residual_bytes >= inner.cfg.checkpoint_threshold
-                || (inner.segs.free_count() < inner.cfg.effective_low_free()
-                    && inner.segs.utilization() <= inner.cfg.max_utilization)
-        };
-        if !need || self.maint.observe_and_kick().thread_running {
+        if !self.maintenance_due() || self.maint.observe_and_kick().thread_running {
             return Ok(());
         }
         maintenance::one_round(self, &|| true).map(|_| ())
@@ -1612,6 +1605,11 @@ impl Shard {
     /// The MAC key this shard's proofs attest under.
     pub(crate) fn proof_mac_key(&self) -> [u8; 32] {
         *self.core.ctx.proof_mac_key()
+    }
+
+    /// [`proof_mac_key`](Self::proof_mac_key) as a keyed HMAC template.
+    pub(crate) fn proof_mac(&self) -> &tdb_crypto::HmacSha256 {
+        self.core.ctx.proof_mac()
     }
 
     /// The one-way counter value the last anchor round bound.

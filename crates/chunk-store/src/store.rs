@@ -411,7 +411,7 @@ impl Combiner {
                     epoch: st.epoch,
                     counters: st.counters.clone(),
                     tag: tdb_proof::tree::epoch_tag(
-                        combiner.ctx.proof_mac_key(),
+                        combiner.ctx.proof_mac(),
                         st.expected_hw,
                         st.epoch,
                         &st.counters,
@@ -1386,29 +1386,16 @@ impl ChunkStore {
         root: &Digest,
     ) -> Result<tdb_proof::KeyedAttestation> {
         proof::require_full_security(self.security())?;
-        let (mac_key, counter_value) = match &self.combiner {
-            None => (
-                self.shards[0].proof_mac_key(),
-                snap.parts[0].core.counter_value,
-            ),
-            Some(combiner) => (
-                *combiner.ctx.proof_mac_key(),
-                combiner.state.lock().expected_hw,
-            ),
+        let (mac, counter_value) = match &self.combiner {
+            None => (self.shards[0].proof_mac(), snap.parts[0].core.counter_value),
+            Some(combiner) => (combiner.ctx.proof_mac(), combiner.state.lock().expected_hw),
         };
         let commit_seq = snap.commit_seq();
         self.shards[0].proof_counters().keyed_minted.add(1);
         Ok(tdb_proof::KeyedAttestation {
             counter_value,
             commit_seq,
-            tag: tdb_proof::keyed::keyed_tag(
-                &mac_key,
-                counter_value,
-                commit_seq,
-                scope,
-                total,
-                root,
-            ),
+            tag: tdb_proof::keyed::keyed_tag(mac, counter_value, commit_seq, scope, total, root),
         })
     }
 

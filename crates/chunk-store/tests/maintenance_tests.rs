@@ -952,3 +952,40 @@ fn committer_and_thread_drivers_agree() {
         }
     }
 }
+
+/// Lazy commits append to the log like durable ones, so they check the
+/// maintenance watermarks too: a lazy-only churn with the thread on wakes
+/// it, checkpoints, and keeps the log to a handful of segments instead of
+/// growing it by one segment per ~16 commits.
+#[test]
+fn lazy_only_commits_kick_maintenance() {
+    let cfg = ChunkStoreConfig {
+        security: SecurityMode::Off,
+        background_maintenance: true,
+        checkpoint_threshold: 8 * 1024,
+        ..ChunkStoreConfig::small_for_tests()
+    };
+    let counter = VolatileCounter::new();
+    let store = create_on(Arc::new(MemStore::new()), &counter, &cfg);
+    let base = store.obs_snapshot();
+
+    // ~500 KiB of lazy commits over one live chunk.
+    let mut batch = store.begin_batch();
+    let id = batch.allocate_chunk_id().unwrap();
+    for i in 0..2_000u32 {
+        batch.write(id, &i.to_le_bytes().repeat(64)).unwrap();
+        store.commit_batch(batch, Durability::Lazy).unwrap();
+        batch = store.begin_batch();
+    }
+    store.wait_maintenance_idle();
+
+    let delta = store.obs_snapshot().since(&base);
+    assert!(delta.counter("chunk.maintenance_wakeups") > 0);
+    assert!(delta.counter("chunk.checkpoints") > 0);
+    assert!(
+        store.disk_size() <= 16 * 4096,
+        "{} bytes on disk",
+        store.disk_size()
+    );
+    assert_eq!(store.read(id).unwrap(), 1_999u32.to_le_bytes().repeat(64));
+}

@@ -22,7 +22,7 @@
 
 use crate::error::{ObjectStoreError, Result};
 use crate::reader::ObjectReader;
-use crate::store::{ObjectCell, ObjectStore};
+use crate::store::{cell_charge, ObjectCell, ObjectStore};
 use crate::{ObjectId, Persistent};
 use chunk_store::{Proven, Snapshot};
 use parking_lot::{Mutex, RwLock};
@@ -259,9 +259,9 @@ impl ReadTransaction {
         let obj = self.store.inner.registry.unpickle_object(&bytes)?;
         let cell = Arc::new(ObjectCell {
             id: oid,
+            size: AtomicUsize::new(cell_charge(bytes.len(), &*obj)),
             data: RwLock::new(obj),
             dirty: AtomicBool::new(false),
-            size: AtomicUsize::new(bytes.len()),
             version: AtomicU64::new(self.snap.seq_for(oid)),
         });
         Ok(self.fallback.lock().entry(oid.0).or_insert(cell).clone())

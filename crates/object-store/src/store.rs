@@ -27,8 +27,11 @@ pub struct ObjectStoreConfig {
     /// How long a lock acquisition waits before breaking a potential
     /// deadlock with [`ObjectStoreError::LockTimeout`].
     pub lock_timeout: Duration,
-    /// Object cache budget in (approximate, pickled) bytes. The paper's
-    /// evaluation used a 4 MB cache (§7.2).
+    /// Object cache budget in bytes. Each cached object is charged its
+    /// pickled length plus what keeping it resident costs: the shared cell
+    /// with its reference counts, its cache-map slot, and the unpickled
+    /// object's own struct (see `cell_charge`). The paper's evaluation used
+    /// a 4 MB cache (§7.2).
     pub cache_budget: usize,
     /// Number of independent object-cache shards (power of two). More
     /// shards reduce mutex contention on the cache-hit path at the cost of
@@ -161,7 +164,8 @@ pub(crate) struct ObjectCell {
     /// Dirty objects are pinned in the cache until their transaction
     /// commits — the no-steal policy (§4.2.2).
     pub(crate) dirty: AtomicBool,
-    /// Approximate pickled size for cache accounting.
+    /// Bytes this cell is charged against the cache budget
+    /// ([`cell_charge`]).
     pub(crate) size: AtomicUsize,
     /// Upper bound on the chunk-store commit sequence at which this cached
     /// (clean) content became current. Snapshot readers use it for their
@@ -177,6 +181,20 @@ pub(crate) struct ObjectCell {
 struct CacheSlot {
     cell: Arc<ObjectCell>,
     tick: u64,
+}
+
+/// What a cached object costs the budget: its pickled length plus its
+/// resident overhead — the `Arc` allocation (strong and weak counts and
+/// the [`ObjectCell`]), the cache map's `(id, slot)` entry, and the
+/// unpickled object's own struct. Heap the object owns beyond its struct
+/// is approximated by the pickled length. Every term is a `size_of`, so
+/// the charge tracks the types without a tuning constant.
+pub(crate) fn cell_charge(pickled_len: usize, object: &dyn Persistent) -> usize {
+    pickled_len
+        + std::mem::size_of::<ObjectCell>()
+        + 2 * std::mem::size_of::<usize>()
+        + std::mem::size_of::<(u64, CacheSlot)>()
+        + std::mem::size_of_val(object)
 }
 
 /// Default number of independent cache shards. Objects hash to a shard,
@@ -561,11 +579,12 @@ impl ObjectStore {
         // cached copy for snapshots at least that recent.
         let (bytes, seq) = self.inner.chunks.read_versioned(oid)?;
         let obj = self.inner.registry.unpickle_object(&bytes)?;
+        let size = cell_charge(bytes.len(), &*obj);
         let cell = Arc::new(ObjectCell {
             id: oid,
             data: RwLock::new(obj),
             dirty: AtomicBool::new(false),
-            size: AtomicUsize::new(bytes.len()),
+            size: AtomicUsize::new(size),
             version: AtomicU64::new(seq),
         });
         let mut shard = shard_mutex.lock();
@@ -574,8 +593,8 @@ impl ObjectStore {
         if let Some(slot) = shard.cache.get(&oid.0) {
             return Ok(slot.cell.clone());
         }
-        shard.bytes += bytes.len();
-        obs.bytes_gauge.add(bytes.len() as i64);
+        shard.bytes += size;
+        obs.bytes_gauge.add(size as i64);
         shard.cache.insert(
             oid.0,
             CacheSlot {
@@ -611,7 +630,8 @@ impl ObjectStore {
         }
     }
 
-    /// Update accounting after a commit re-pickled an object.
+    /// Update accounting after a commit re-pickled an object; `new_size`
+    /// is the cell's new [`cell_charge`].
     pub(crate) fn update_cell_size(&self, oid: ObjectId, new_size: usize) {
         let mut shard = self.shard_for(oid).lock();
         if let Some(slot) = shard.cache.get(&oid.0) {

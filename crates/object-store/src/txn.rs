@@ -4,7 +4,7 @@ use crate::class::pickle_object;
 use crate::error::{ObjectStoreError, Result};
 use crate::locks::LockMode;
 use crate::refs::{ReadonlyRef, WritableRef};
-use crate::store::{ObjectCell, ObjectStore};
+use crate::store::{cell_charge, ObjectCell, ObjectStore};
 use crate::{ChunkId, ObjectId, Persistent};
 use chunk_store::{Durability, WriteBatch};
 use parking_lot::{Mutex, RwLock};
@@ -115,9 +115,10 @@ impl Transaction {
         self.lock(oid, LockMode::Exclusive)?;
         let cell = Arc::new(ObjectCell {
             id: oid,
+            // A guess at the pickled length; refined at commit.
+            size: AtomicUsize::new(cell_charge(256, &*object)),
             data: RwLock::new(object),
             dirty: AtomicBool::new(true),
-            size: AtomicUsize::new(256), // refined at commit
             // Dirty content has no committed version yet; the commit stamps
             // the real sequence. MAX keeps snapshot readers off it even if
             // they race the dirty flag.
@@ -331,9 +332,10 @@ impl Transaction {
                 if sets.removed.contains(oid) {
                     continue;
                 }
-                let bytes = pickle_object(&**cell.data.read());
+                let data = cell.data.read();
+                let bytes = pickle_object(&**data);
                 batch.write(ChunkId(*oid), &bytes)?;
-                sizes.push((ChunkId(*oid), bytes.len()));
+                sizes.push((ChunkId(*oid), cell_charge(bytes.len(), &**data)));
             }
             if !sets.root_updates.is_empty() {
                 roots_undo = self

@@ -343,3 +343,88 @@ fn cache_gauges_match_the_cache_scan_with_dirty_objects_held() {
     }
     t.commit(Durability::Durable).unwrap();
 }
+
+/// The budget is charged resident bytes, not pickled bytes, and the books
+/// stay balanced on every path that adds or removes a cell: loads through
+/// a writer's `load_cell`, snapshot reads (cache probes plus private
+/// fallbacks), commits that re-pickle, and evictions. A cell costs at least
+/// its pickled length plus the `Blob` struct and the `Arc`'s two counts, so
+/// a small budget can hold at most `budget / that` objects — far fewer
+/// than `budget / pickled length`, which is what a pickled-bytes charge
+/// would have let in.
+#[test]
+fn cache_charges_resident_bytes_and_books_balance() {
+    let budget = 16 * 1024;
+    let os = store_with(ObjectStoreConfig {
+        cache_budget: budget,
+        ..Default::default()
+    });
+    let check = |phase: &str| {
+        let (accounted, recomputed, _) = os.debug_cache_accounting();
+        assert_eq!(accounted, recomputed, "cache books drifted ({phase})");
+    };
+
+    let mut ids = Vec::new();
+    for batch in 0..20u32 {
+        let t = os.begin();
+        for i in 0..100 {
+            ids.push(
+                t.insert(Box::new(Blob {
+                    tag: batch * 100 + i,
+                    data: Vec::new(),
+                }))
+                .unwrap(),
+            );
+        }
+        t.commit(Durability::Durable).unwrap();
+        check("insert commit");
+    }
+    // Every object through a writer (load_cell on a miss), every other one
+    // rewritten so commits re-pickle and re-charge cached cells.
+    for chunk in ids.chunks(100) {
+        let t = os.begin();
+        for (i, id) in chunk.iter().enumerate() {
+            if i % 2 == 0 {
+                t.open_writable::<Blob>(*id).unwrap().get_mut().tag += 1;
+            } else {
+                t.open_readonly::<Blob>(*id).unwrap();
+            }
+        }
+        t.commit(Durability::Lazy).unwrap();
+        check("load and update commit");
+    }
+    let r = os.begin_read();
+    for id in &ids {
+        r.read::<Blob, _>(*id, |b| b.tag).unwrap();
+    }
+    drop(r);
+    check("snapshot reads");
+    // A last writer commit runs the post-commit eviction pass.
+    let t = os.begin();
+    t.open_readonly::<Blob>(ids[0]).unwrap();
+    t.commit(Durability::Durable).unwrap();
+    check("final commit");
+
+    let stats = os.cache_stats();
+    assert!(stats.evictions > 0, "the budget never bound: {stats:?}");
+    let pickled = {
+        let mut w = Pickler::new();
+        Blob {
+            tag: 0,
+            data: Vec::new(),
+        }
+        .pickle(&mut w);
+        w.into_bytes().len()
+    };
+    let min_charge = pickled + std::mem::size_of::<Blob>() + 2 * std::mem::size_of::<usize>();
+    assert!(stats.bytes as usize <= budget, "{stats:?}");
+    assert!(
+        stats.objects as usize <= budget / min_charge,
+        "{} objects in a {budget}-byte budget at >= {min_charge} bytes each",
+        stats.objects
+    );
+    assert!(
+        stats.bytes >= stats.objects * min_charge as u64,
+        "{stats:?}"
+    );
+}

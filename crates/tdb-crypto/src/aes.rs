@@ -5,9 +5,14 @@
 //! paper itself anticipates ("there are other algorithms that are as secure
 //! as 3DES and run significantly faster", §7.3).
 //!
-//! This is a straightforward table-based implementation (S-box / inverse
-//! S-box constants, xtime multiplication). It is not hardened against cache
-//! timing side channels — the paper's attacker controls storage, not the CPU.
+//! Each round is one lookup per state byte into 256-entry `u32` tables
+//! that fold `SubBytes` and `MixColumns` together (the "T-table" form of
+//! the Rijndael proposal, §5.2.1), XORed per column with the round key.
+//! Decryption is the equivalent inverse cipher of FIPS 197 §5.3.5, with its
+//! own tables and round keys passed through `InvMixColumns` once, in
+//! [`Aes128::new`]. Table lookups are indexed by secret bytes, so this is
+//! not constant-time: it is not hardened against cache-timing side
+//! channels — the paper's attacker controls storage, not the CPU.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -59,152 +64,200 @@ const INV_SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-#[inline]
-fn xtime(x: u8) -> u8 {
-    (x << 1) ^ (((x >> 7) & 1) * 0x1b)
-}
-
-#[inline]
-fn gmul(mut a: u8, mut b: u8) -> u8 {
+/// Multiplication in GF(2^8) modulo the AES polynomial (table build only).
+const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    while b != 0 {
         if b & 1 != 0 {
             p ^= a;
         }
-        a = xtime(a);
+        a = (a << 1) ^ (((a >> 7) & 1) * 0x1b);
         b >>= 1;
     }
     p
 }
 
+/// A column of four bytes, row 0 in the most significant byte.
+const fn column(b0: u8, b1: u8, b2: u8, b3: u8) -> u32 {
+    u32::from_be_bytes([b0, b1, b2, b3])
+}
+
+/// The four round tables of one direction: `t[r][x]` is the column that
+/// byte `x` entering row `r` contributes after substitution through `sbox`
+/// and column mixing by `mix` (the matrix's first column, top to bottom).
+/// Row `r`'s table is row 0's rotated right by `8 * r` bits; keeping all
+/// four (4 KiB per direction) instead of rotating one at run time measured
+/// a median 15 % faster CBC encryption and 16 % faster decryption over ten
+/// interleaved 1 MiB run pairs (2-vCPU x86-64).
+const fn round_tables(sbox: &[u8; 256], mix: [u8; 4]) -> [[u32; 256]; 4] {
+    let mut t = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = sbox[x];
+        let col = column(
+            gmul(s, mix[0]),
+            gmul(s, mix[1]),
+            gmul(s, mix[2]),
+            gmul(s, mix[3]),
+        );
+        t[0][x] = col;
+        t[1][x] = col.rotate_right(8);
+        t[2][x] = col.rotate_right(16);
+        t[3][x] = col.rotate_right(24);
+        x += 1;
+    }
+    t
+}
+
+/// `SubBytes` + `MixColumns`.
+static TE: [[u32; 256]; 4] = round_tables(&SBOX, [2, 1, 1, 3]);
+/// `InvSubBytes` + `InvMixColumns`.
+static TD: [[u32; 256]; 4] = round_tables(&INV_SBOX, [0x0e, 0x09, 0x0d, 0x0b]);
+
+/// One full round: row `r` of output column `c` comes from input column
+/// `(c + shift[r]) % 4`, looked up in row `r`'s table.
+#[inline(always)]
+fn round(t: &[[u32; 256]; 4], s: [u32; 4], shift: [usize; 4], rk: &[u32; 4]) -> [u32; 4] {
+    let col = |c: usize| {
+        t[0][(s[c] >> 24) as usize]
+            ^ t[1][((s[(c + shift[1]) & 3] >> 16) & 0xff) as usize]
+            ^ t[2][((s[(c + shift[2]) & 3] >> 8) & 0xff) as usize]
+            ^ t[3][(s[(c + shift[3]) & 3] & 0xff) as usize]
+    };
+    [
+        col(0) ^ rk[0],
+        col(1) ^ rk[1],
+        col(2) ^ rk[2],
+        col(3) ^ rk[3],
+    ]
+}
+
+/// The last round: substitution and row shift only, no column mixing.
+#[inline(always)]
+fn last_round(sbox: &[u8; 256], s: [u32; 4], shift: [usize; 4], rk: &[u32; 4]) -> [u32; 4] {
+    let col = |c: usize| {
+        column(
+            sbox[(s[c] >> 24) as usize],
+            sbox[((s[(c + shift[1]) & 3] >> 16) & 0xff) as usize],
+            sbox[((s[(c + shift[2]) & 3] >> 8) & 0xff) as usize],
+            sbox[(s[(c + shift[3]) & 3] & 0xff) as usize],
+        )
+    };
+    [
+        col(0) ^ rk[0],
+        col(1) ^ rk[1],
+        col(2) ^ rk[2],
+        col(3) ^ rk[3],
+    ]
+}
+
+/// `ShiftRows`: row `r` of output column `c` comes from column `c + r`.
+const SHIFT: [usize; 4] = [0, 1, 2, 3];
+/// `InvShiftRows`: row `r` of output column `c` comes from column `c - r`.
+const INV_SHIFT: [usize; 4] = [0, 3, 2, 1];
+
 /// An expanded AES-128 key schedule, usable for both encryption and
 /// decryption.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    /// Encryption round keys, one column per word.
+    ek: [[u32; 4]; ROUNDS + 1],
+    /// Round keys of the equivalent inverse cipher (FIPS 197 §5.3.5): the
+    /// encryption keys in reverse round order, the inner nine rounds passed
+    /// through `InvMixColumns`.
+    dk: [[u32; 4]; ROUNDS + 1],
 }
 
 impl Aes128 {
     /// Expand a 16-byte key.
     pub fn new(key: &crate::Key) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (i, word) in w.iter_mut().take(4).enumerate() {
+            *word = u32::from_be_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
         }
-        for i in 4..4 * (ROUNDS + 1) {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp.rotate_left(1);
-                for t in &mut temp {
-                    *t = SBOX[*t as usize];
-                }
-                temp[0] ^= RCON[i / 4 - 1];
+                let [a, b, c, d] = temp.rotate_left(8).to_be_bytes();
+                temp = column(
+                    SBOX[a as usize],
+                    SBOX[b as usize],
+                    SBOX[c as usize],
+                    SBOX[d as usize],
+                ) ^ ((RCON[i / 4 - 1] as u32) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
-            }
+            w[i] = w[i - 4] ^ temp;
         }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
+        let mut ek = [[0u32; 4]; ROUNDS + 1];
+        let mut dk = [[0u32; 4]; ROUNDS + 1];
+        for r in 0..=ROUNDS {
+            ek[r].copy_from_slice(&w[4 * r..4 * r + 4]);
             for c in 0..4 {
-                rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
+                let k = w[4 * (ROUNDS - r) + c];
+                dk[r][c] = if r == 0 || r == ROUNDS {
+                    k
+                } else {
+                    // TD[row][SBOX[x]] is InvMixColumns of x entering `row`.
+                    (0..4).fold(0, |acc, row| {
+                        let x = (k >> (24 - 8 * row)) & 0xff;
+                        acc ^ TD[row][SBOX[x as usize] as usize]
+                    })
+                };
             }
         }
-        Aes128 { round_keys }
+        Aes128 { ek, dk }
+    }
+
+    /// Encrypt one block held as four big-endian columns.
+    #[inline]
+    pub(crate) fn encrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
+        let k = &self.ek;
+        let mut s = [0, 1, 2, 3].map(|c| block[c] ^ k[0][c]);
+        for rk in &k[1..ROUNDS] {
+            s = round(&TE, s, SHIFT, rk);
+        }
+        last_round(&SBOX, s, SHIFT, &k[ROUNDS])
+    }
+
+    /// Decrypt one block held as four big-endian columns.
+    #[inline]
+    pub(crate) fn decrypt_words(&self, block: [u32; 4]) -> [u32; 4] {
+        let k = &self.dk;
+        let mut s = [0, 1, 2, 3].map(|c| block[c] ^ k[0][c]);
+        for rk in &k[1..ROUNDS] {
+            s = round(&TD, s, INV_SHIFT, rk);
+        }
+        last_round(&INV_SBOX, s, INV_SHIFT, &k[ROUNDS])
     }
 
     /// Encrypt a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut Block) {
-        add_round_key(block, &self.round_keys[0]);
-        for r in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[r]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        let out = self.encrypt_words(load_words(block));
+        store_words(block, out);
     }
 
     /// Decrypt a single 16-byte block in place.
     pub fn decrypt_block(&self, block: &mut Block) {
-        add_round_key(block, &self.round_keys[ROUNDS]);
-        for r in (1..ROUNDS).rev() {
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-        }
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &self.round_keys[0]);
+        let out = self.decrypt_words(load_words(block));
+        store_words(block, out);
     }
 }
 
+/// A 16-byte block as four big-endian columns.
 #[inline]
-fn add_round_key(state: &mut Block, rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+pub(crate) fn load_words(bytes: &[u8]) -> [u32; 4] {
+    let mut w = [0u32; 4];
+    for (c, word) in w.iter_mut().enumerate() {
+        *word = u32::from_be_bytes(bytes[c * 4..c * 4 + 4].try_into().expect("4 bytes"));
     }
+    w
 }
 
+/// Inverse of [`load_words`].
 #[inline]
-fn sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
-    }
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut Block) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
-    }
-}
-
-// State is column-major: byte s[r][c] lives at index c*4 + r.
-#[inline]
-fn shift_rows(state: &mut Block) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[c * 4 + r] = s[((c + r) % 4) * 4 + r];
-        }
-    }
-}
-
-#[inline]
-fn inv_shift_rows(state: &mut Block) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
-        }
-    }
-}
-
-#[inline]
-fn mix_columns(state: &mut Block) {
-    for c in 0..4 {
-        let col = &mut state[c * 4..c * 4 + 4];
-        let [a0, a1, a2, a3] = [col[0], col[1], col[2], col[3]];
-        col[0] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3;
-        col[1] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3;
-        col[2] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3);
-        col[3] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut Block) {
-    for c in 0..4 {
-        let col = &mut state[c * 4..c * 4 + 4];
-        let [a0, a1, a2, a3] = [col[0], col[1], col[2], col[3]];
-        col[0] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09);
-        col[1] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d);
-        col[2] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b);
-        col[3] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e);
+pub(crate) fn store_words(bytes: &mut [u8], w: [u32; 4]) {
+    for (c, word) in w.iter().enumerate() {
+        bytes[c * 4..c * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
 }
 
@@ -274,6 +327,35 @@ mod tests {
             aes.decrypt_block(&mut block);
             assert_eq!(block, hex_to_16(pt));
         }
+    }
+
+    /// 10 000 chained blocks through both directions, re-keying from the
+    /// running ciphertext every 1 000 steps, folded into one SHA-256. The
+    /// pinned digest was captured from the byte-wise reference cipher (S-box,
+    /// shift-rows, `gmul` mix-columns) before the T-table rewrite, so any
+    /// drift in either table, the key schedule or the equivalent inverse
+    /// cipher's round keys shows here.
+    #[test]
+    fn chain_digest_is_pinned() {
+        let mut aes = Aes128::new(&[0u8; 16]);
+        let mut block = [0u8; 16];
+        let mut h = crate::Sha256::new();
+        for i in 0u32..10_000 {
+            aes.encrypt_block(&mut block);
+            h.update(&block);
+            let mut back = block;
+            back[(i % 16) as usize] ^= 0x5a;
+            aes.decrypt_block(&mut back);
+            h.update(&back);
+            if i % 1_000 == 999 {
+                aes = Aes128::new(&block);
+            }
+        }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "3f01979b6e6204458cf7fc5e9747696a359e903ae833057ba29048391eb1f360"
+        );
     }
 
     #[test]

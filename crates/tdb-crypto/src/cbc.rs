@@ -5,7 +5,7 @@
 //! paper measures for TDB-S (encryption padding makes TDB-S write more bytes
 //! per transaction than plain TDB, §7.4).
 
-use crate::aes::{Aes128, Block, BLOCK_LEN};
+use crate::aes::{load_words, store_words, Aes128, Block, BLOCK_LEN};
 
 /// Error returned when decryption fails structurally (bad length or padding).
 ///
@@ -51,15 +51,14 @@ pub fn cbc_encrypt_into(aes: &Aes128, iv: &Block, plain: &[u8], out: &mut Vec<u8
     let pad = (out_len - plain.len()) as u8;
     out.resize(start + out_len, pad);
 
-    let mut prev = *iv;
+    let mut prev = load_words(iv);
     for chunk in out[start..].chunks_exact_mut(BLOCK_LEN) {
-        for (b, p) in chunk.iter_mut().zip(prev.iter()) {
+        let mut block = load_words(chunk);
+        for (b, p) in block.iter_mut().zip(prev) {
             *b ^= p;
         }
-        let mut block: Block = chunk.try_into().expect("exact chunk");
-        aes.encrypt_block(&mut block);
-        chunk.copy_from_slice(&block);
-        prev = block;
+        prev = aes.encrypt_words(block);
+        store_words(chunk, prev);
     }
     out_len
 }
@@ -69,16 +68,18 @@ pub fn cbc_decrypt(aes: &Aes128, iv: &Block, cipher: &[u8]) -> Result<Vec<u8>, C
     if cipher.is_empty() || !cipher.len().is_multiple_of(BLOCK_LEN) {
         return Err(CbcError);
     }
-    let mut out = cipher.to_vec();
-    let mut prev = *iv;
-    for chunk in out.chunks_exact_mut(BLOCK_LEN) {
-        let this_cipher: Block = chunk.try_into().expect("exact chunk");
-        let mut block = this_cipher;
-        aes.decrypt_block(&mut block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
+    let mut out = vec![0u8; cipher.len()];
+    let mut prev = load_words(iv);
+    for (chunk, dst) in cipher
+        .chunks_exact(BLOCK_LEN)
+        .zip(out.chunks_exact_mut(BLOCK_LEN))
+    {
+        let this_cipher = load_words(chunk);
+        let mut block = aes.decrypt_words(this_cipher);
+        for (b, p) in block.iter_mut().zip(prev) {
             *b ^= p;
         }
-        chunk.copy_from_slice(&block);
+        store_words(dst, block);
         prev = this_cipher;
     }
     let pad = *out.last().expect("non-empty") as usize;
@@ -123,6 +124,43 @@ mod tests {
         assert_eq!(&ct[..expect.len()], &expect[..]);
         let round = cbc_decrypt(&aes, &iv, &ct).unwrap();
         assert_eq!(round, pt);
+    }
+
+    // NIST SP 800-38A F.2.2 CBC-AES128.Decrypt, block by block through the
+    // decryption direction alone (P_i = D(C_i) xor C_{i-1}), then the whole
+    // vector through `cbc_decrypt` with our PKCS#7 block appended.
+    #[test]
+    fn sp800_38a_cbc_decrypt() {
+        let key: [u8; 16] = hex("2b7e151628aed2a6abf7158809cf4f3c").try_into().unwrap();
+        let iv = hex("000102030405060708090a0b0c0d0e0f");
+        let ct = hex("7649abac8119b246cee98e9b12e9197d\
+             5086cb9b507219ee95db113a917678b2\
+             73bed6b8e3c1743b7116e69e22229516\
+             3ff1caa1681fac09120eca307586e1a7");
+        let pt = hex("6bc1bee22e409f96e93d7e117393172a\
+             ae2d8a571e03ac9c9eb76fac45af8e51\
+             30c81c46a35ce411e5fbc1191a0a52ef\
+             f69f2445df4f9b17ad2b417be66c3710");
+        let aes = Aes128::new(&key);
+        let mut prev = &iv[..];
+        for (c, p) in ct.chunks(16).zip(pt.chunks(16)) {
+            let mut block: Block = c.try_into().unwrap();
+            aes.decrypt_block(&mut block);
+            for (b, x) in block.iter_mut().zip(prev) {
+                *b ^= x;
+            }
+            assert_eq!(&block[..], p);
+            prev = c;
+        }
+        let mut padded = ct.clone();
+        let mut pad: Block = [16u8; 16];
+        for (b, x) in pad.iter_mut().zip(&ct[ct.len() - 16..]) {
+            *b ^= x;
+        }
+        aes.encrypt_block(&mut pad);
+        padded.extend_from_slice(&pad);
+        let iv: Block = iv.try_into().unwrap();
+        assert_eq!(cbc_decrypt(&aes, &iv, &padded).unwrap(), pt);
     }
 
     #[test]

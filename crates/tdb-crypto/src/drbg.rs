@@ -7,7 +7,7 @@
 //! provides that without an OS RNG dependency, which also keeps replay of
 //! IV sequences across database reopens impossible in tests.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::sha256::DIGEST_LEN;
 
 /// HMAC-DRBG state (K, V) per SP 800-90A §10.1.2.
@@ -54,14 +54,15 @@ impl HmacDrbg {
         }
     }
 
-    /// Fill `out` with pseudo-random bytes.
+    /// Fill `out` with pseudo-random bytes: one SP 800-90A generate call
+    /// (the standard allows up to 2^19 bits, 64 KiB, per call). `K` is
+    /// fixed for the whole output, so the loop clones one keyed HMAC
+    /// instead of re-keying per 32-byte block.
     pub fn fill(&mut self, out: &mut [u8]) {
-        let mut written = 0;
-        while written < out.len() {
-            self.v = hmac_sha256(&self.k, &self.v);
-            let take = (out.len() - written).min(DIGEST_LEN);
-            out[written..written + take].copy_from_slice(&self.v[..take]);
-            written += take;
+        let keyed = HmacSha256::new(&self.k);
+        for block in out.chunks_mut(DIGEST_LEN) {
+            self.v = keyed.mac(&self.v);
+            block.copy_from_slice(&self.v[..block.len()]);
         }
         self.update(None);
         self.reseed_counter += 1;

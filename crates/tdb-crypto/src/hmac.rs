@@ -10,10 +10,17 @@ use crate::sha256::{Digest, Sha256, DIGEST_LEN};
 const BLOCK_LEN: usize = 64;
 
 /// Streaming HMAC-SHA-256 context.
+///
+/// Both pads are absorbed when the context is keyed: `inner` has taken the
+/// ipad block and `outer` the opad block, so a clone of a freshly keyed
+/// context is a *template* that MACs under a fixed key without re-deriving
+/// the pads — a 32-byte message then costs two compressions instead of
+/// four. Callers with a long-lived key keep one keyed context and clone it
+/// per tag.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -27,17 +34,14 @@ impl HmacSha256 {
         } else {
             k[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = k[i] ^ 0x36;
-            opad[i] = k[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
+        let pad = |byte: u8| {
+            let mut h = Sha256::new();
+            h.update(&k.map(|b| b ^ byte));
+            h
+        };
         HmacSha256 {
-            inner,
-            outer_key: opad,
+            inner: pad(0x36),
+            outer: pad(0x5c),
         }
     }
 
@@ -48,11 +52,17 @@ impl HmacSha256 {
 
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
+    }
+
+    /// One-shot tag of `msg` under this context's key, leaving the context
+    /// untouched (clone-and-finalize on a keyed template).
+    pub fn mac(&self, msg: &[u8]) -> Digest {
+        let mut m = self.clone();
+        m.update(msg);
+        m.finalize()
     }
 }
 
@@ -136,6 +146,34 @@ mod tests {
         assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
         assert!(!verify_hmac_sha256(b"k", b"m2", &tag));
         assert!(!verify_hmac_sha256(b"k", b"m", &tag[..31]));
+    }
+
+    /// A keyed template cloned per message gives the one-shot tag on every
+    /// RFC 4231 vector, and finalizing a clone leaves the template reusable.
+    #[test]
+    fn keyed_template_equals_oneshot_on_rfc4231() {
+        let long_msg: &[u8] = b"This is a test using a larger than block-size key and a larger than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
+        let cases: [(&[u8], &[u8]); 5] = [
+            (&[0x0b; 20], b"Hi There"),
+            (b"Jefe", b"what do ya want for nothing?"),
+            (&[0xaa; 20], &[0xdd; 50]),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+            ),
+            (&[0xaa; 131], long_msg),
+        ];
+        for (key, msg) in cases {
+            let template = HmacSha256::new(key);
+            for _ in 0..2 {
+                assert_eq!(template.mac(msg), hmac_sha256(key, msg));
+                let mut m = template.clone();
+                let (a, b) = msg.split_at(msg.len() / 2);
+                m.update(a);
+                m.update(b);
+                assert_eq!(m.finalize(), hmac_sha256(key, msg));
+            }
+        }
     }
 
     #[test]

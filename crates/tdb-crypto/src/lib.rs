@@ -32,7 +32,7 @@ pub use aes::Aes128;
 pub use cbc::{cbc_decrypt, cbc_encrypt, cbc_encrypt_into, ciphertext_len};
 pub use drbg::HmacDrbg;
 pub use hmac::{hmac_sha256, HmacSha256};
-pub use sha256::{sha256, sha256_batch, Digest, Sha256, DIGEST_LEN};
+pub use sha256::{sha256, Digest, Sha256, DIGEST_LEN};
 
 /// Length in bytes of symmetric keys used throughout TDB (AES-128).
 pub const KEY_LEN: usize = 16;

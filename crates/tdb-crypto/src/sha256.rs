@@ -1,14 +1,10 @@
 //! SHA-256 (FIPS 180-4), implemented from scratch.
 //!
 //! The chunk store hashes every chunk and every Merkle-tree node with this
-//! function. It exposes a streaming [`Sha256`] context, a one-shot
-//! [`sha256`] helper, and a multi-message batch entry point
-//! [`sha256_batch`] that keeps 2–4 independent message schedules in flight
-//! per compression round. SHA-256's round function is a long serial
-//! dependency chain, so a single message leaves most ALU ports idle;
-//! interleaving independent lanes hides that latency (and gives LLVM
-//! straight-line per-round loops it can SLP-vectorize). The commit path
-//! uses the batch form for record hashing and the batched Merkle rehash.
+//! function. It exposes a streaming [`Sha256`] context and a one-shot
+//! [`sha256`] helper. Callers hash one message at a time: interleaving
+//! several messages' rounds measured slower than this on the commit path's
+//! record and Merkle-node shapes (DESIGN.md, "The commit pipeline").
 
 /// Length of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -178,178 +174,6 @@ fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// One compression round over `N` independent messages. Every per-round
-/// step is an inner loop over the lanes, so the `N` message schedules and
-/// working states advance in lock-step — independent chains the CPU (or
-/// the auto-vectorizer) can execute in parallel, hiding the serial
-/// latency of a single SHA-256 chain.
-// The explicit lane-index loops are the point: every step advances all N
-// lanes in lock-step, and the schedule rows (w[t-16], w[t-7], w[t-2])
-// cannot be iterator-chained while w[t] is being written.
-#[allow(clippy::needless_range_loop)]
-fn compress_lanes<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; 64]; N]) {
-    let mut w = [[0u32; N]; 64];
-    for t in 0..16 {
-        for l in 0..N {
-            let blk = &blocks[l];
-            w[t][l] =
-                u32::from_be_bytes([blk[t * 4], blk[t * 4 + 1], blk[t * 4 + 2], blk[t * 4 + 3]]);
-        }
-    }
-    for t in 16..64 {
-        for l in 0..N {
-            let x15 = w[t - 15][l];
-            let x2 = w[t - 2][l];
-            let s0 = x15.rotate_right(7) ^ x15.rotate_right(18) ^ (x15 >> 3);
-            let s1 = x2.rotate_right(17) ^ x2.rotate_right(19) ^ (x2 >> 10);
-            w[t][l] = w[t - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(w[t - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-
-    let mut a = [0u32; N];
-    let mut b = [0u32; N];
-    let mut c = [0u32; N];
-    let mut d = [0u32; N];
-    let mut e = [0u32; N];
-    let mut f = [0u32; N];
-    let mut g = [0u32; N];
-    let mut h = [0u32; N];
-    for l in 0..N {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
-    }
-    for t in 0..64 {
-        for l in 0..N {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            let t1 = h[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[t])
-                .wrapping_add(w[t][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l].wrapping_add(t1);
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = t1.wrapping_add(t2);
-        }
-    }
-    for l in 0..N {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-        states[l][5] = states[l][5].wrapping_add(f[l]);
-        states[l][6] = states[l][6].wrapping_add(g[l]);
-        states[l][7] = states[l][7].wrapping_add(h[l]);
-    }
-}
-
-/// Number of 64-byte blocks in the padded form of a `len`-byte message
-/// (the padding is 0x80, zeros, and an 8-byte bit length).
-fn num_blocks(len: usize) -> usize {
-    (len + 8) / 64 + 1
-}
-
-/// Materialize block `idx` of the padded form of `msg`. The last block
-/// carries the big-endian bit length in its final 8 bytes; the 0x80
-/// terminator lands wherever the message ends.
-fn padded_block(msg: &[u8], idx: usize, nblocks: usize) -> [u8; 64] {
-    let len = msg.len();
-    let start = idx * 64;
-    let mut blk = [0u8; 64];
-    if start + 64 <= len {
-        blk.copy_from_slice(&msg[start..start + 64]);
-        return blk;
-    }
-    if start < len {
-        let n = len - start;
-        blk[..n].copy_from_slice(&msg[start..]);
-        blk[n] = 0x80;
-    } else if start == len {
-        blk[0] = 0x80;
-    }
-    if idx + 1 == nblocks {
-        let bits = (len as u64).wrapping_mul(8);
-        blk[56..].copy_from_slice(&bits.to_be_bytes());
-    }
-    blk
-}
-
-fn state_digest(state: &[u32; 8]) -> Digest {
-    let mut out = [0u8; DIGEST_LEN];
-    for (i, word) in state.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
-}
-
-/// Hash `N` messages with interleaved schedules. Blocks shared by all
-/// lanes run `N`-wide; once the shorter messages run out, the stragglers
-/// finish on the scalar path.
-fn hash_group<const N: usize>(msgs: &[&[u8]; N]) -> [Digest; N] {
-    let mut states = [H0; N];
-    let mut nb = [0usize; N];
-    for l in 0..N {
-        nb[l] = num_blocks(msgs[l].len());
-    }
-    let common = nb.iter().copied().min().unwrap_or(0);
-    let mut blocks = [[0u8; 64]; N];
-    for idx in 0..common {
-        for l in 0..N {
-            blocks[l] = padded_block(msgs[l], idx, nb[l]);
-        }
-        compress_lanes(&mut states, &blocks);
-    }
-    for l in 0..N {
-        for idx in common..nb[l] {
-            compress_block(&mut states[l], &padded_block(msgs[l], idx, nb[l]));
-        }
-    }
-    let mut out = [[0u8; DIGEST_LEN]; N];
-    for l in 0..N {
-        out[l] = state_digest(&states[l]);
-    }
-    out
-}
-
-/// Hash a batch of messages, keeping up to four independent message
-/// schedules in flight per compression round. Bit-identical to calling
-/// [`sha256`] on each message; substantially faster for batches because
-/// the interleaved lanes hide the round function's serial ALU latency.
-pub fn sha256_batch(msgs: &[&[u8]]) -> Vec<Digest> {
-    let mut out = Vec::with_capacity(msgs.len());
-    let mut rest = msgs;
-    while rest.len() >= 4 {
-        let (head, tail) = rest.split_at(4);
-        let group: &[&[u8]; 4] = head.try_into().expect("four lanes");
-        out.extend_from_slice(&hash_group(group));
-        rest = tail;
-    }
-    match rest.len() {
-        3 => {
-            let group: &[&[u8]; 3] = rest.try_into().expect("three lanes");
-            out.extend_from_slice(&hash_group(group));
-        }
-        2 => {
-            let group: &[&[u8]; 2] = rest.try_into().expect("two lanes");
-            out.extend_from_slice(&hash_group(group));
-        }
-        1 => out.push(sha256(rest[0])),
-        _ => {}
-    }
-    out
-}
-
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut ctx = Sha256::new();
@@ -435,38 +259,6 @@ mod tests {
             }
             assert_eq!(ctx.finalize(), sha256(&data), "step {step}");
         }
-    }
-
-    #[test]
-    fn batch_matches_scalar_across_lengths() {
-        // Every length through several block boundaries, hashed in batches
-        // of every lane width, must agree with the scalar path bit for bit.
-        let data: Vec<u8> = (0..300u16)
-            .map(|i| (i.wrapping_mul(31) % 251) as u8)
-            .collect();
-        let msgs: Vec<&[u8]> = (0..=300usize).map(|n| &data[..n]).collect();
-        let want: Vec<Digest> = msgs.iter().map(|m| sha256(m)).collect();
-        for width in 1..=9 {
-            for group in msgs.chunks(width) {
-                let got = sha256_batch(group);
-                let start = group.as_ptr() as usize;
-                let idx = (start - msgs.as_ptr() as usize) / std::mem::size_of::<&[u8]>();
-                assert_eq!(got, &want[idx..idx + group.len()], "width {width} at {idx}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_mixed_lengths_in_one_group() {
-        // Lanes of wildly different block counts exercise the scalar
-        // straggler path after the common-prefix rounds.
-        let long = vec![7u8; 1000];
-        let msgs: Vec<&[u8]> = vec![b"", b"abc", &long, &long[..64]];
-        let got = sha256_batch(&msgs);
-        for (m, d) in msgs.iter().zip(&got) {
-            assert_eq!(*d, sha256(m));
-        }
-        assert!(sha256_batch(&[]).is_empty());
     }
 
     #[test]

@@ -69,9 +69,6 @@ impl Histogram {
 
     /// Record one sample (nanoseconds by convention).
     pub fn record(&self, value: u64) {
-        if cfg!(feature = "compile-out") {
-            return;
-        }
         let inner = &self.0;
         inner.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         inner.sum.fetch_add(value, Ordering::Relaxed);

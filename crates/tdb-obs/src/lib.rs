@@ -14,11 +14,9 @@
 //! Handles are `Arc`-backed: layers resolve them once (at store open) and
 //! record through the clone, so the hot path never touches the registry's
 //! name map. Timing can be disabled at runtime ([`set_enabled`], or the
-//! `TDB_OBS=off` environment variable) or compiled out entirely with the
-//! `compile-out` cargo feature. Counters and gauges stay live in both cases
-//! because the registry is the workspace's only counter API (read through
-//! [`RegistrySnapshot::counter`]); only clock reads and histogram recording
-//! are elided.
+//! `TDB_OBS=off` environment variable). Counters and gauges stay live when
+//! it is, because the registry is the workspace's only counter API (read
+//! through [`RegistrySnapshot::counter`]); only clock reads are elided.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,12 +47,8 @@ use std::time::Instant;
 static ENABLED: AtomicU8 = AtomicU8::new(0);
 
 /// Whether span timing is currently enabled. Initialised lazily from the
-/// `TDB_OBS` environment variable (`off` or `0` disables); constant-false
-/// when the `compile-out` feature is active.
+/// `TDB_OBS` environment variable (`off` or `0` disables).
 pub fn enabled() -> bool {
-    if cfg!(feature = "compile-out") {
-        return false;
-    }
     match ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
@@ -69,8 +63,7 @@ pub fn enabled() -> bool {
     }
 }
 
-/// Turn span timing on or off at runtime (process-wide). Has no effect under
-/// the `compile-out` feature.
+/// Turn span timing on or off at runtime (process-wide).
 pub fn set_enabled(on: bool) {
     ENABLED.store(if on { 1 } else { 2 }, Ordering::Relaxed);
 }

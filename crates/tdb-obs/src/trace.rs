@@ -195,13 +195,9 @@ static TRACE_ENABLED: AtomicU8 = AtomicU8::new(0);
 /// Whether event recording is enabled. Defaults to the span-timing gate
 /// ([`enabled`](crate::enabled), i.e. `TDB_OBS`); the `TDB_TRACE`
 /// environment variable (`on`/`off`) overrides it, and
-/// [`set_trace_enabled`] overrides both. Constant-false under the
-/// `compile-out` feature.
+/// [`set_trace_enabled`] overrides both.
 #[inline]
 pub fn trace_enabled() -> bool {
-    if cfg!(feature = "compile-out") {
-        return false;
-    }
     match TRACE_ENABLED.load(Ordering::Relaxed) {
         1 => true,
         2 => false,

@@ -193,16 +193,16 @@ pub struct KeyedAttestation {
     pub tag: Digest,
 }
 
-/// Mint the keyed-root attestation tag.
+/// Mint the keyed-root attestation tag under a keyed HMAC template.
 pub fn keyed_tag(
-    mac_key: &[u8; 32],
+    mac: &HmacSha256,
     counter_value: u64,
     commit_seq: u64,
     scope: &str,
     n: u64,
     root: &Digest,
 ) -> Digest {
-    let mut m = HmacSha256::new(mac_key);
+    let mut m = mac.clone();
     m.update(b"tdb.proof.keyed");
     m.update(&counter_value.to_le_bytes());
     m.update(&commit_seq.to_le_bytes());

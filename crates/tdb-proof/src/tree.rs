@@ -69,22 +69,9 @@ impl PathNode {
     }
 }
 
-/// Canonical hash over `(slot, digest)` entries (must be sorted).
+/// Canonical hash over `(slot, digest)` entries (must be sorted): domain
+/// tag, entry count, then the `(slot_le || digest)` pairs.
 pub fn hash_node<'a>(is_leaf: bool, entries: impl Iterator<Item = (u32, &'a Digest)>) -> Digest {
-    let mut h = Sha256::new();
-    h.update(&node_preimage(is_leaf, entries));
-    h.finalize()
-}
-
-/// The exact byte string [`hash_node`] hashes: domain tag, entry count,
-/// then the sorted `(slot_le || digest)` pairs. Materializing preimages
-/// lets a batched tree pass feed whole node levels through the multi-lane
-/// SHA-256 path ([`tdb_crypto::sha256_batch`]) and still produce roots
-/// bit-identical to the incremental per-node hashing.
-pub fn node_preimage<'a>(
-    is_leaf: bool,
-    entries: impl Iterator<Item = (u32, &'a Digest)>,
-) -> Vec<u8> {
     let domain: &[u8] = if is_leaf {
         b"tdb.proof.leaf"
     } else {
@@ -97,11 +84,11 @@ pub fn node_preimage<'a>(
         body.extend_from_slice(d);
         n += 1;
     }
-    let mut out = Vec::with_capacity(domain.len() + 4 + body.len());
-    out.extend_from_slice(domain);
-    out.extend_from_slice(&n.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut h = Sha256::new();
+    h.update(domain);
+    h.update(&n.to_le_bytes());
+    h.update(&body);
+    h.finalize()
 }
 
 /// What the proof claims about the chunk id.
@@ -188,16 +175,18 @@ impl ChunkProof {
     }
 }
 
-/// Mint the attestation tag over a proof root.
+/// Mint the attestation tag over a proof root. `mac` is a keyed template
+/// (`HmacSha256::new(key)`), cloned per tag, so a minter or verifier that
+/// tags repeatedly under one key derives the HMAC pads once.
 pub fn attestation_tag(
-    mac_key: &[u8; 32],
+    mac: &HmacSha256,
     counter_value: u64,
     commit_seq: u64,
     depth: u32,
     fanout: u32,
     root: &Digest,
 ) -> Digest {
-    let mut m = HmacSha256::new(mac_key);
+    let mut m = mac.clone();
     m.update(b"tdb.proof.att");
     m.update(&counter_value.to_le_bytes());
     m.update(&commit_seq.to_le_bytes());
@@ -209,12 +198,12 @@ pub fn attestation_tag(
 
 /// Mint the content tag binding a plaintext to its sealed leaf digest.
 pub fn content_tag(
-    mac_key: &[u8; 32],
+    mac: &HmacSha256,
     chunk_id: u64,
     sealed_hash: &Digest,
     plain_hash: &Digest,
 ) -> Digest {
-    let mut m = HmacSha256::new(mac_key);
+    let mut m = mac.clone();
     m.update(b"tdb.proof.content");
     m.update(&chunk_id.to_le_bytes());
     m.update(sealed_hash);
@@ -222,9 +211,10 @@ pub fn content_tag(
     m.finalize()
 }
 
-/// Mint the epoch-record tag binding virtual counters to the hardware one.
-pub fn epoch_tag(rr_key: &[u8; 32], hw_counter: u64, epoch: u32, counters: &[u64]) -> Digest {
-    let mut m = HmacSha256::new(rr_key);
+/// Mint the epoch-record tag binding virtual counters to the hardware one,
+/// under the root-of-roots key's template.
+pub fn epoch_tag(rr_mac: &HmacSha256, hw_counter: u64, epoch: u32, counters: &[u64]) -> Digest {
+    let mut m = rr_mac.clone();
     m.update(b"tdb.proof.epoch");
     m.update(&hw_counter.to_le_bytes());
     m.update(&epoch.to_le_bytes());
@@ -284,42 +274,17 @@ mod tests {
     }
 
     #[test]
-    fn preimage_hash_equals_hash_node() {
-        let d1 = [1u8; 32];
-        let d2 = [2u8; 32];
-        for is_leaf in [true, false] {
-            let entries = [(0u32, d1), (5, d2)];
-            let via_preimage = tdb_crypto::sha256(&node_preimage(
-                is_leaf,
-                entries.iter().map(|(s, d)| (*s, d)),
-            ));
-            let direct = hash_node(is_leaf, entries.iter().map(|(s, d)| (*s, d)));
-            assert_eq!(via_preimage, direct);
-        }
-        // Batched hashing of preimages matches too — the contract the
-        // batched Merkle rehash relies on.
-        let p1 = node_preimage(true, [(3u32, d1)].iter().map(|(s, d)| (*s, d)));
-        let p2 = node_preimage(false, [(7u32, d2)].iter().map(|(s, d)| (*s, d)));
-        let batch = tdb_crypto::sha256_batch(&[&p1, &p2]);
-        assert_eq!(
-            batch[0],
-            hash_node(true, [(3u32, d1)].iter().map(|(s, d)| (*s, d)))
-        );
-        assert_eq!(
-            batch[1],
-            hash_node(false, [(7u32, d2)].iter().map(|(s, d)| (*s, d)))
-        );
-    }
-
-    #[test]
     fn tags_are_input_sensitive() {
-        let key = [9u8; 32];
+        let key = HmacSha256::new(&[9u8; 32]);
         let root = [3u8; 32];
         let t = attestation_tag(&key, 7, 11, 2, 64, &root);
         assert_ne!(t, attestation_tag(&key, 8, 11, 2, 64, &root));
         assert_ne!(t, attestation_tag(&key, 7, 12, 2, 64, &root));
         assert_ne!(t, attestation_tag(&key, 7, 11, 3, 64, &root));
-        assert_ne!(t, attestation_tag(&[8u8; 32], 7, 11, 2, 64, &root));
+        assert_ne!(
+            t,
+            attestation_tag(&HmacSha256::new(&[8u8; 32]), 7, 11, 2, 64, &root)
+        );
         let c = content_tag(&key, 1, &root, &root);
         assert_ne!(c, content_tag(&key, 2, &root, &root));
         let e = epoch_tag(&key, 5, 1, &[1, 2]);

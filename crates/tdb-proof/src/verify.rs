@@ -26,7 +26,7 @@ use crate::route;
 use crate::tree::{
     attestation_tag, capacity, content_tag, epoch_tag, slot_at, ChunkOutcome, ChunkProof,
 };
-use tdb_crypto::sha256;
+use tdb_crypto::{sha256, HmacSha256};
 
 /// What a client must hold to verify proofs: the freshest counter value it
 /// trusts plus the MAC key(s) the engine attests under.
@@ -151,7 +151,12 @@ impl Verifier {
                     return Err(tamper("epoch counter vector length mismatch"));
                 }
                 if !tdb_crypto::ct_eq(
-                    &epoch_tag(rr_mac_key, e.hw_counter, e.epoch, &e.counters),
+                    &epoch_tag(
+                        &HmacSha256::new(rr_mac_key),
+                        e.hw_counter,
+                        e.epoch,
+                        &e.counters,
+                    ),
                     &e.tag,
                 ) {
                     return Err(tamper("epoch record authentication failed"));
@@ -200,9 +205,10 @@ impl Verifier {
             }
         }
         let root_hash = proof.path[0].hash();
+        let mac = HmacSha256::new(mac_key);
         if !tdb_crypto::ct_eq(
             &attestation_tag(
-                mac_key,
+                &mac,
                 att.counter_value,
                 att.commit_seq,
                 att.depth,
@@ -277,7 +283,7 @@ impl Verifier {
                     return Err(tamper("value does not match the proven plaintext hash"));
                 }
                 if !tdb_crypto::ct_eq(
-                    &content_tag(mac_key, proof.chunk_id, sealed_hash, plain_hash),
+                    &content_tag(&mac, proof.chunk_id, sealed_hash, plain_hash),
                     tag,
                 ) {
                     return Err(tamper("content tag authentication failed"));
@@ -297,11 +303,11 @@ impl Verifier {
     /// Verify a keyed (index-level) proof. Returns the proven object ids
     /// for the queried range — empty for a verified non-membership proof.
     pub fn verify_keyed(&self, proof: &KeyedProof) -> Result<Vec<u64>, ProofError> {
-        let key = self.anchor.keys.keyed_mac_key();
+        let key = HmacSha256::new(self.anchor.keys.keyed_mac_key());
         let att = &proof.attestation;
         if !tdb_crypto::ct_eq(
             &keyed_tag(
-                key,
+                &key,
                 att.counter_value,
                 att.commit_seq,
                 &proof.scope,
@@ -463,7 +469,12 @@ mod tests {
                 ChunkOutcome::Included {
                     sealed_hash: sealed(b"one"),
                     plain_hash: sha256(value),
-                    content_tag: content_tag(&KEY, 1, &sealed(b"one"), &sha256(value)),
+                    content_tag: content_tag(
+                        &HmacSha256::new(&KEY),
+                        1,
+                        &sealed(b"one"),
+                        &sha256(value),
+                    ),
                 },
             ),
             6 => (
@@ -471,7 +482,12 @@ mod tests {
                 ChunkOutcome::Included {
                     sealed_hash: sealed(b"six"),
                     plain_hash: sha256(value),
-                    content_tag: content_tag(&KEY, 6, &sealed(b"six"), &sha256(value)),
+                    content_tag: content_tag(
+                        &HmacSha256::new(&KEY),
+                        6,
+                        &sealed(b"six"),
+                        &sha256(value),
+                    ),
                 },
             ),
             // id 5 = slot 1 of leaf1 (5/4=1, 5%4=1): empty slot in leaf.
@@ -482,7 +498,7 @@ mod tests {
             99 => (vec![root], ChunkOutcome::Absent),
             _ => panic!("unscripted id"),
         };
-        let tag = attestation_tag(&KEY, counter, 9, 2, 4, &path[0].hash());
+        let tag = attestation_tag(&HmacSha256::new(&KEY), counter, 9, 2, 4, &path[0].hash());
         ChunkProof {
             chunk_id: id,
             outcome,
@@ -571,7 +587,14 @@ mod tests {
             p.attestation = KeyedAttestation {
                 counter_value: counter,
                 commit_seq: 4,
-                tag: keyed_tag(&KEY, counter, 4, &p.scope, p.total, &p.root),
+                tag: keyed_tag(
+                    &HmacSha256::new(&KEY),
+                    counter,
+                    4,
+                    &p.scope,
+                    p.total,
+                    &p.root,
+                ),
             };
         };
         let v = Verifier::new(anchor(2));

@@ -1,15 +1,17 @@
-//! Schema gate for bench telemetry. Validates every `results/BENCH_*.json`
-//! present in the repository; with `REQUIRE_BENCH_JSON=1` (set by the CI
+//! Schema gate for bench telemetry. Validates every `BENCH_*.json` in
+//! `results/` (or `$BENCH_OUT`); with `REQUIRE_BENCH_JSON=1` (set by the CI
 //! smoke-bench job after running the benchmarks) the key documents must
 //! exist and a missing or malformed file fails the build.
 
 use tdb_bench::telemetry::{validate_bench_doc, validate_bench_file};
 use tdb_obs::Json;
 
+/// Where the bench binaries write: `$BENCH_OUT`, else `results/`
+/// ([`tdb_bench::telemetry::results_dir`]), a relative path taken against
+/// the workspace root, where the binaries run from a checkout (and where CI
+/// runs them).
 fn results_dir() -> std::path::PathBuf {
-    // Relative to the workspace root, where the bench binaries write when
-    // run from a checkout (and where CI runs them).
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results")
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(tdb_bench::telemetry::results_dir())
 }
 
 /// A synthetic document shaped like real emissions must pass, and known
@@ -102,7 +104,8 @@ fn validator_accepts_wellformed_and_rejects_malformed() {
     });
 }
 
-/// Every bench JSON document in `results/` must satisfy the schema. With
+/// Every bench JSON document in the results directory must satisfy the
+/// schema. With
 /// `REQUIRE_BENCH_JSON=1`, the smoke-bench set must actually be present.
 #[test]
 fn emitted_bench_json_validates() {
