@@ -1,14 +1,15 @@
 //! Ablation A3 (§5.2.4): index implementation choice — B-tree vs dynamic
 //! hash vs list — for inserts and exact-match lookups.
 
+use chunk_store::{ChunkStore, ChunkStoreConfig, SecurityMode};
+use collection_store::{CollectionStore, Durability, ExtractorRegistry, IndexKind, IndexSpec, Key};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::Arc;
-use tdb::platform::{MemSecretStore, MemStore, VolatileCounter};
-use tdb::Durability;
-use tdb::{
-    impl_persistent_boilerplate, ClassRegistry, Database, DatabaseConfig, ExtractorRegistry,
-    IndexKind, IndexSpec, Key, Persistent, PickleError, Pickler, Unpickler,
+use object_store::{
+    impl_persistent_boilerplate, ClassRegistry, ObjectStoreConfig, Persistent, PickleError,
+    Pickler, Unpickler,
 };
+use std::sync::Arc;
+use tdb_platform::{MemSecretStore, MemStore, VolatileCounter};
 
 struct Item {
     id: u64,
@@ -23,20 +24,30 @@ fn unpickle(r: &mut Unpickler) -> Result<Box<dyn Persistent>, PickleError> {
     Ok(Box::new(Item { id: r.u64()? }))
 }
 
-fn db() -> Database {
+/// The collection store the paper's §5.2.4 ablation measures, over an
+/// in-memory chunk store without security.
+fn db() -> CollectionStore {
     let mut classes = ClassRegistry::new();
     classes.register(0x17E4, "Item", unpickle);
     let mut extractors = ExtractorRegistry::new();
     extractors.register("item.id", |o| {
-        tdb::extractor_typed::<Item>(o, |i| Key::U64(i.id))
+        collection_store::extractor::typed::<Item>(o, |i| Key::U64(i.id))
     });
-    Database::create(
+    let chunks = ChunkStore::create(
         Arc::new(MemStore::new()),
         &MemSecretStore::from_label("bench"),
         Arc::new(VolatileCounter::new()),
+        ChunkStoreConfig {
+            security: SecurityMode::Off,
+            ..ChunkStoreConfig::default()
+        },
+    )
+    .unwrap();
+    CollectionStore::create(
+        Arc::new(chunks),
         classes,
         extractors,
-        DatabaseConfig::without_security(),
+        ObjectStoreConfig::default(),
     )
     .unwrap()
 }

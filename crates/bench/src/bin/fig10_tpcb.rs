@@ -8,12 +8,12 @@
 
 use std::sync::Arc;
 use tdb::obs::{Json, RegistrySnapshot};
-use tdb::{ChunkStoreConfig, DatabaseConfig, SecurityMode};
+use tdb::{ChunkStoreConfig, Options, SecurityMode};
 use tdb_bench::telemetry::{
     bench_doc, counters_json, histograms_json, latency_ms_json, push_result, write_bench_json,
 };
 use tdb_bench::{env_f64, env_u64};
-use tdb_platform::{DirStore, MemStore, UntrustedStore};
+use tdb_platform::{DirStore, MemSecretStore, MemStore, UntrustedStore, VolatileCounter};
 use tpcb::{
     run_benchmark, run_benchmark_threaded, BaselineDriver, BenchReport, TdbDriver, TpcbConfig,
 };
@@ -64,6 +64,19 @@ fn make_dir_store(keep: &mut Vec<tempfile::TempDir>) -> Arc<dyn UntrustedStore> 
     store
 }
 
+/// The TDB driver over `store`, with a volatile one-way counter.
+fn tdb_driver(store: Arc<dyn UntrustedStore>, chunk: ChunkStoreConfig) -> TdbDriver {
+    TdbDriver::new(
+        Options::in_memory()
+            .with_substrates(
+                store,
+                MemSecretStore::from_label("tpcb"),
+                Arc::new(VolatileCounter::new()),
+            )
+            .chunk_config(chunk),
+    )
+}
+
 fn run_tdb(
     cfg: &TpcbConfig,
     security: SecurityMode,
@@ -83,11 +96,7 @@ fn run_tdb_chunk(
     chunk: ChunkStoreConfig,
     store: Arc<dyn UntrustedStore>,
 ) -> (BenchReport, RegistrySnapshot, RegistrySnapshot) {
-    let db_cfg = DatabaseConfig {
-        chunk,
-        ..DatabaseConfig::default()
-    };
-    let mut driver = TdbDriver::new(store, db_cfg);
+    let mut driver = tdb_driver(store, chunk);
     let report = if cfg.threads > 1 {
         run_benchmark_threaded(&mut driver, cfg)
     } else {
@@ -118,11 +127,7 @@ fn run_tdb_sharded(
         shards: n,
         ..ChunkStoreConfig::default()
     };
-    let db_cfg = DatabaseConfig {
-        chunk,
-        ..DatabaseConfig::default()
-    };
-    let mut driver = TdbDriver::new(store, db_cfg);
+    let mut driver = tdb_driver(store, chunk);
     let report = if cfg.threads > 1 {
         run_benchmark_threaded(&mut driver, cfg)
     } else {

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use tdb::obs::Json;
-use tdb::DatabaseConfig;
+use tdb::{ChunkStoreConfig, Options, SecurityMode};
 use tdb_bench::telemetry::{
     bench_doc, counters_json, histograms_json, latency_ms_json, push_result, write_bench_json,
 };
@@ -50,9 +50,11 @@ fn main() {
         "utilization", "resp (ms/txn)", "db size (MB)", "cleaner copies/txn"
     );
     for util in [0.5, 0.6, 0.7, 0.8, 0.9] {
-        let mut db_cfg = DatabaseConfig::without_security();
-        db_cfg.chunk.max_utilization = util;
-        let mut driver = TdbDriver::new(Arc::new(MemStore::new()), db_cfg);
+        let mut driver = TdbDriver::new(Options::in_memory().chunk_config(ChunkStoreConfig {
+            security: SecurityMode::Off,
+            max_utilization: util,
+            ..ChunkStoreConfig::default()
+        }));
         let before = driver.database().chunk_store().obs_snapshot();
         let report = run_benchmark(&mut driver, &cfg);
         // Settle: checkpoint so the final size reflects steady state.

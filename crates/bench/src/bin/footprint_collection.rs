@@ -1,11 +1,15 @@
-//! Footprint probe: the full TDB stack (all modules).
-use std::sync::Arc;
-use tdb::platform::{MemArchive, MemSecretStore, MemStore, VolatileCounter};
-use tdb::Durability;
-use tdb::{
-    impl_persistent_boilerplate, ClassRegistry, Database, DatabaseConfig, ExtractorRegistry,
-    IndexKind, IndexSpec, Key, Persistent, PickleError, Pickler, Unpickler,
+//! Footprint probe: the full TDB stack (all modules) — chunk, backup,
+//! object and collection stores linked directly, without the `tdb` facade
+//! and the directory substrates it carries.
+use backup_store::BackupManager;
+use chunk_store::{ChunkStore, ChunkStoreConfig};
+use collection_store::{CollectionStore, Durability, ExtractorRegistry, IndexKind, IndexSpec, Key};
+use object_store::{
+    impl_persistent_boilerplate, ClassRegistry, ObjectStoreConfig, Persistent, PickleError,
+    Pickler, Unpickler,
 };
+use std::sync::Arc;
+use tdb_platform::{MemArchive, MemSecretStore, MemStore, VolatileCounter};
 
 struct Probe {
     n: u32,
@@ -25,18 +29,22 @@ fn main() {
     classes.register(0xF00D, "Probe", unpickle);
     let mut extractors = ExtractorRegistry::new();
     extractors.register("probe.n", |o| {
-        tdb::extractor_typed::<Probe>(o, |p| Key::U64(p.n as u64))
+        collection_store::extractor::typed::<Probe>(o, |p| Key::U64(p.n as u64))
     });
     let secret = MemSecretStore::from_label("fp");
-    let db = Database::create(
-        Arc::new(MemStore::new()),
-        &secret,
-        Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
-    .unwrap();
+    let cfg = ChunkStoreConfig::default();
+    let security = cfg.security;
+    let chunks = Arc::new(
+        ChunkStore::create(
+            Arc::new(MemStore::new()),
+            &secret,
+            Arc::new(VolatileCounter::new()),
+            cfg,
+        )
+        .unwrap(),
+    );
+    let db =
+        CollectionStore::create(chunks, classes, extractors, ObjectStoreConfig::default()).unwrap();
     let t = db.begin();
     let c = t
         .create_collection(
@@ -54,9 +62,7 @@ fn main() {
     it.close().unwrap();
     drop(c);
     t.commit(Durability::Durable).unwrap();
-    let mut mgr = db
-        .backup_manager(Arc::new(MemArchive::new()), &secret)
-        .unwrap();
+    let mut mgr = BackupManager::new(Arc::new(MemArchive::new()), &secret, security).unwrap();
     let _ = mgr.backup_full(db.chunk_store()).unwrap();
     println!("{n}");
 }

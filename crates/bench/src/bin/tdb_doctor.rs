@@ -1,6 +1,6 @@
 //! `tdb-doctor` — read and summarize TDB diagnostic dumps.
 //!
-//! The stall watchdog (and `Database::diagnostics_to_dir`) writes
+//! The stall watchdog (and `Db::diagnostics_to_dir`) writes
 //! `tdb-diag-*.json` files to `TDB_DIAG_DIR`. This tool renders them for
 //! humans: which operations were stalled, what each registered store's
 //! health looked like, each thread's last trace event, and (on request)

@@ -873,9 +873,7 @@ impl StoreCore {
         // Lock-free fast path: a concurrent leader that locked the store
         // after our append has already anchored past us.
         if self.durable_seq.load(Ordering::Acquire) >= my_seq {
-            if wait_sw.running() {
-                self.stats.phases.group_wait.record(wait_sw.lap());
-            }
+            self.covered_by_other_round(&mut wait_sw, sampled);
             return Ok(());
         }
         // Brief spin before any blocking: on a fast store (memory, warm
@@ -886,9 +884,7 @@ impl StoreCore {
         for _ in 0..500 {
             std::hint::spin_loop();
             if self.durable_seq.load(Ordering::Acquire) >= my_seq {
-                if wait_sw.running() {
-                    self.stats.phases.group_wait.record(wait_sw.lap());
-                }
+                self.covered_by_other_round(&mut wait_sw, sampled);
                 return Ok(());
             }
         }
@@ -911,9 +907,7 @@ impl StoreCore {
                 unregister(&mut g.waiters, my_seq);
                 drop(g);
                 trace::emit(TraceLayer::Chunk, TraceKind::GroupWake, my_seq, durable, 0);
-                if wait_sw.running() {
-                    self.stats.phases.group_wait.record(wait_sw.lap());
-                }
+                self.covered_by_other_round(&mut wait_sw, sampled);
                 return Ok(());
             }
             if !g.leader_active {
@@ -975,6 +969,21 @@ impl StoreCore {
                 );
             }
             self.group_cv.wait(&mut g);
+        }
+    }
+
+    /// Close the wait of a commit that another anchor round made durable
+    /// (a concurrent leader's, or a maintenance checkpoint's
+    /// [`publish_durable`](Self::publish_durable)): its group-wait lap and,
+    /// if it was phase-sampled, one `chunk.sampled_commits_covered` — it
+    /// records no `commit.anchor` lap of its own, so `commit.anchor` laps
+    /// plus this counter equal the sampled durable commits.
+    fn covered_by_other_round(&self, wait_sw: &mut Stopwatch, sampled: bool) {
+        if wait_sw.running() {
+            self.stats.phases.group_wait.record(wait_sw.lap());
+        }
+        if sampled {
+            add(&self.stats.sampled_commits_covered, 1);
         }
     }
 

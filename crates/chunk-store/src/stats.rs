@@ -61,6 +61,10 @@ counters! {
     commits,
     /// Durable commits.
     durable_commits,
+    /// Phase-sampled durable commits made durable by another commit's or a
+    /// checkpoint's anchor round, so they recorded no `commit.anchor` lap:
+    /// `commit.anchor` laps + this = sampled durable commits.
+    sampled_commits_covered,
     /// Checkpoints taken.
     checkpoints,
     /// `sync` calls issued to the untrusted store.

@@ -895,6 +895,13 @@ impl ChunkStore {
     }
 
     /// Open if a database exists (of any shard count), otherwise create one.
+    ///
+    /// Under [`SecurityMode::Full`], a store with no anchor whose one-way
+    /// counter has already advanced is refused as
+    /// [`ChunkStoreError::ReplayDetected`]: a counter past zero means a
+    /// database was committed against it, so a missing anchor is that
+    /// database deleted or rolled back to before its creation — not a
+    /// fresh device. Only a zero counter creates.
     pub fn open_or_create(
         untrusted: Arc<dyn UntrustedStore>,
         secret: &dyn SecretStore,
@@ -902,10 +909,18 @@ impl ChunkStore {
         cfg: ChunkStoreConfig,
     ) -> Result<ChunkStore> {
         if Self::database_exists(&*untrusted)? {
-            Self::open(untrusted, secret, counter, cfg)
-        } else {
-            Self::create(untrusted, secret, counter, cfg)
+            return Self::open(untrusted, secret, counter, cfg);
         }
+        if cfg.security == SecurityMode::Full {
+            let hardware_counter = counter.read()?;
+            if hardware_counter > 0 {
+                return Err(ChunkStoreError::ReplayDetected {
+                    anchor_counter: 0,
+                    hardware_counter,
+                });
+            }
+        }
+        Self::create(untrusted, secret, counter, cfg)
     }
 
     /// Whether any database — of any shard count — exists in `untrusted`.

@@ -33,10 +33,6 @@ pub struct ObjectStoreConfig {
     /// object's own struct (see `cell_charge`). The paper's evaluation used
     /// a 4 MB cache (§7.2).
     pub cache_budget: usize,
-    /// Number of independent object-cache shards (power of two). More
-    /// shards reduce mutex contention on the cache-hit path at the cost of
-    /// coarser per-shard byte budgets.
-    pub cache_shards: usize,
 }
 
 impl Default for ObjectStoreConfig {
@@ -45,7 +41,6 @@ impl Default for ObjectStoreConfig {
             locking: true,
             lock_timeout: Duration::from_millis(1000),
             cache_budget: 4 * 1024 * 1024,
-            cache_shards: DEFAULT_CACHE_SHARDS,
         }
     }
 }
@@ -57,18 +52,16 @@ impl Default for ObjectStoreConfig {
 /// use object_store::StoreOptions;
 /// let cfg = StoreOptions::new()
 ///     .cache_bytes(8 * 1024 * 1024)
-///     .cache_shards(32)
 ///     .lock_timeout_ms(250)
 ///     .build()
 ///     .unwrap();
-/// assert_eq!(cfg.cache_shards, 32);
+/// assert_eq!(cfg.cache_budget, 8 * 1024 * 1024);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct StoreOptions {
     locking: Option<bool>,
     lock_timeout: Option<Duration>,
     cache_budget: Option<usize>,
-    cache_shards: Option<usize>,
 }
 
 impl StoreOptions {
@@ -100,25 +93,15 @@ impl StoreOptions {
         self
     }
 
-    /// Number of cache shards; must be a power of two in `1..=1024`
-    /// (default: 16).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = Some(shards);
-        self
-    }
-
     /// Apply overrides from the environment: `TDB_CACHE_BYTES`,
-    /// `TDB_CACHE_SHARDS`, `TDB_LOCK_TIMEOUT_MS`, `TDB_LOCKING` (`0`/`off`
-    /// disables). Unset or unparsable variables leave the current value.
+    /// `TDB_LOCK_TIMEOUT_MS`, `TDB_LOCKING` (`0`/`off` disables). Unset or
+    /// unparsable variables leave the current value.
     pub fn from_env(mut self) -> Self {
         fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
             std::env::var(name).ok()?.trim().parse().ok()
         }
         if let Some(b) = parse::<usize>("TDB_CACHE_BYTES") {
             self.cache_budget = Some(b);
-        }
-        if let Some(s) = parse::<usize>("TDB_CACHE_SHARDS") {
-            self.cache_shards = Some(s);
         }
         if let Some(ms) = parse::<u64>("TDB_LOCK_TIMEOUT_MS") {
             self.lock_timeout = Some(Duration::from_millis(ms));
@@ -133,12 +116,6 @@ impl StoreOptions {
     /// [`ObjectStoreError::Config`] on out-of-range values.
     pub fn build(self) -> Result<ObjectStoreConfig> {
         let defaults = ObjectStoreConfig::default();
-        let shards = self.cache_shards.unwrap_or(defaults.cache_shards);
-        if !shards.is_power_of_two() || shards > 1024 {
-            return Err(ObjectStoreError::Config(format!(
-                "cache_shards must be a power of two in 1..=1024, got {shards}"
-            )));
-        }
         let budget = self.cache_budget.unwrap_or(defaults.cache_budget);
         let timeout = self.lock_timeout.unwrap_or(defaults.lock_timeout);
         if timeout.is_zero() {
@@ -150,7 +127,6 @@ impl StoreOptions {
             locking: self.locking.unwrap_or(defaults.locking),
             lock_timeout: timeout,
             cache_budget: budget,
-            cache_shards: shards,
         })
     }
 }
@@ -197,21 +173,17 @@ pub(crate) fn cell_charge(pickled_len: usize, object: &dyn Persistent) -> usize 
         + std::mem::size_of_val(object)
 }
 
-/// Default number of independent cache shards. Objects hash to a shard,
+/// Number of independent cache shards. Objects hash to a shard,
 /// each with its own mutex, LRU clock and slice of the byte budget, so
 /// concurrent transactions dereferencing different objects never serialize
 /// on a common cache lock (the cache-hit path used to be a store-wide
 /// critical section, which flattened multi-threaded throughput).
-const DEFAULT_CACHE_SHARDS: usize = 16;
+const CACHE_SHARDS: usize = 16;
 
 /// Shard index for an object id (Fibonacci hash — ids are sequential, so
 /// plain modulo would put neighbouring, co-accessed objects together).
-/// `shards` must be a power of two.
-fn cache_shard_of(oid: u64, shards: usize) -> usize {
-    if shards <= 1 {
-        return 0;
-    }
-    (oid.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - shards.trailing_zeros())) as usize
+fn cache_shard_of(oid: u64) -> usize {
+    (oid.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - CACHE_SHARDS.trailing_zeros())) as usize
 }
 
 /// One cache shard: its slice of the object cache plus LRU bookkeeping.
@@ -339,15 +311,9 @@ impl ObjectStore {
     fn build(
         chunks: Arc<ChunkStore>,
         registry: ClassRegistry,
-        mut cfg: ObjectStoreConfig,
+        cfg: ObjectStoreConfig,
         roots_chunk: ObjectId,
     ) -> Self {
-        // Defensive normalization for configs built by hand rather than
-        // through the validating `StoreOptions` builder.
-        if !cfg.cache_shards.is_power_of_two() || cfg.cache_shards > 1024 {
-            cfg.cache_shards = cfg.cache_shards.next_power_of_two().clamp(1, 1024);
-        }
-        let shards = cfg.cache_shards;
         let obs = chunks.obs();
         ObjectStore {
             inner: Arc::new(OsInner {
@@ -355,7 +321,7 @@ impl ObjectStore {
                 state: Mutex::new(StoreState {
                     roots: HashMap::new(),
                 }),
-                cache_shards: (0..shards).map(|_| Mutex::default()).collect(),
+                cache_shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
                 cache_obs: CacheObs {
                     hits: obs.counter("cache.hits"),
                     misses: obs.counter("cache.misses"),
@@ -536,12 +502,12 @@ impl ObjectStore {
 
     /// Byte budget of one cache shard.
     fn shard_budget(&self) -> usize {
-        self.inner.cfg.cache_budget / self.inner.cache_shards.len()
+        self.inner.cfg.cache_budget / CACHE_SHARDS
     }
 
     /// The cache shard responsible for an object id.
     fn shard_for(&self, oid: ObjectId) -> &Mutex<CacheShard> {
-        &self.inner.cache_shards[cache_shard_of(oid.0, self.inner.cache_shards.len())]
+        &self.inner.cache_shards[cache_shard_of(oid.0)]
     }
 
     /// Probe the cache without populating on miss (bumps the LRU clock on

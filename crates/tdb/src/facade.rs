@@ -1,38 +1,42 @@
-//! The coherent top-level API: [`Db`], [`Options`], [`Txn`], [`ReadTxn`],
-//! and typed [`CollectionHandle`]s.
+//! The top-level API: [`Db`], [`Options`], and typed
+//! [`CollectionHandle`]s.
 //!
-//! This is the recommended entry point for applications. It wraps the
-//! layered stores ([`Database`] remains available for code that wants the
-//! layers spelled out) behind four nouns:
+//! One handle and one configuration over the layered stores:
 //!
 //! * [`Options`] — one builder for substrates (in-memory, directory, or
 //!   custom), class/extractor registries, security mode, and tuning knobs
 //!   ([`StoreOptions`], [`ChunkStoreConfig`]).
-//! * [`Db::open`] — open-or-create from an [`Options`].
-//! * [`Db::begin`] → [`Txn`] — a read-write transaction (strict 2PL),
-//!   committed with an explicit [`Durability`].
-//! * [`Db::begin_read`] → [`ReadTxn`] — a snapshot-isolated read-only
-//!   transaction: zero locks, stable scans, never blocks or aborts writers.
+//! * [`Db::open`] — open-or-create from an [`Options`];
+//!   [`Db::restore_latest_from`] — restore a backup chain onto the
+//!   substrates an [`Options`] names.
+//! * [`Db::begin`] → [`CTransaction`] — a read-write transaction (strict
+//!   2PL), committed with an explicit [`Durability`](crate::Durability).
+//! * [`Db::begin_read`] → [`ReadCTransaction`] — a snapshot-isolated
+//!   read-only transaction: zero locks, stable scans, never blocks or
+//!   aborts writers.
 //!
-//! [`Db::collection`] produces a typed [`CollectionHandle<K, V>`] binding a
-//! collection name to a key type `K` (convertible to [`Key`]) and a member
-//! object type `V` ([`Persistent`]), so lookups and inserts are checked at
-//! the facade instead of sprinkling downcasts through application code.
+//! The layers stay reachable from the handle ([`Db::collections`],
+//! [`Db::object_store`], [`Db::chunk_store`]) for maintenance, backups and
+//! observability. [`Db::collection`] produces a typed
+//! [`CollectionHandle<K, V>`] binding a collection name to a key type `K`
+//! (convertible to [`Key`]) and a member object type `V` ([`Persistent`]),
+//! so lookups and inserts are checked at the facade instead of sprinkling
+//! downcasts through application code.
 
 use crate::{
-    CIter, CTransaction, ChunkStoreConfig, ClassRegistry, Collection, Database, DatabaseConfig,
-    ExtractorRegistry, IndexSpec, Key, ObjectId, Persistent, ReadCTransaction, ReadCollection,
-    Result, SecurityMode, StoreOptions, TdbError,
+    obs, require_one_shard, BackupManager, CIter, CTransaction, ChunkStore, ChunkStoreConfig,
+    ChunkStoreError, ClassRegistry, Collection, CollectionStore, ExtractorRegistry, IndexSpec, Key,
+    ObjectId, ObjectStore, Persistent, ReadCTransaction, ReadCollection, Result, SecurityMode,
+    StoreOptions, TdbError,
 };
-use chunk_store::Durability;
 use std::marker::PhantomData;
 use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::Arc;
 use tdb_platform::secret::SECRET_LEN;
 use tdb_platform::{
-    DirStore, FileCounter, FileSecretStore, MemSecretStore, MemStore, OneWayCounter, SecretStore,
-    UntrustedStore, VolatileCounter,
+    ArchivalStore, DirStore, FileCounter, FileSecretStore, MemSecretStore, MemStore, OneWayCounter,
+    SecretStore, UntrustedStore, VolatileCounter,
 };
 
 enum Substrates {
@@ -65,16 +69,6 @@ impl Default for Options {
         Options::in_memory()
     }
 }
-
-/// The pieces [`Options`] resolves into for [`Database::open_or_create`].
-type OpenParts = (
-    Arc<dyn UntrustedStore>,
-    Box<dyn SecretStore>,
-    Arc<dyn OneWayCounter>,
-    ClassRegistry,
-    ExtractorRegistry,
-    DatabaseConfig,
-);
 
 impl Options {
     /// Volatile in-memory database (the default): `MemStore`, a secret
@@ -176,8 +170,8 @@ impl Options {
         self
     }
 
-    /// Replace the object-store tuning knobs (cache budget, shard count,
-    /// lock timeout, locking on/off).
+    /// Replace the object-store tuning knobs (cache budget, lock timeout,
+    /// locking on/off).
     pub fn store_options(mut self, store: StoreOptions) -> Self {
         self.store = store;
         self
@@ -196,38 +190,38 @@ impl Options {
         }
         self
     }
+}
 
-    fn into_parts(self) -> Result<OpenParts> {
-        let object = self.store.build().map_err(TdbError::Object)?;
-        let cfg = DatabaseConfig {
-            chunk: self.chunk,
-            object,
-        };
-        let (untrusted, secret, counter): (
-            Arc<dyn UntrustedStore>,
-            Box<dyn SecretStore>,
-            Arc<dyn OneWayCounter>,
-        ) = match self.substrates {
+/// The untrusted store, secret store and one-way counter a database runs on.
+type Platform = (
+    Arc<dyn UntrustedStore>,
+    Box<dyn SecretStore>,
+    Arc<dyn OneWayCounter>,
+);
+
+impl Substrates {
+    /// Materialise the platform substrates this variant names.
+    fn resolve(self) -> Result<Platform> {
+        Ok(match self {
             Substrates::Memory { label } => (
                 Arc::new(MemStore::new()),
                 Box::new(MemSecretStore::from_label(&label)),
                 Arc::new(VolatileCounter::new()),
             ),
             Substrates::Dir { dir } => {
-                let untrusted =
-                    Arc::new(DirStore::new(&dir).map_err(chunk_store::ChunkStoreError::from)?);
+                let untrusted = Arc::new(DirStore::new(&dir).map_err(ChunkStoreError::from)?);
                 // First open seeds the secret file from a per-directory
                 // label; it is the file's presence that carries the secret
                 // afterwards, exactly like a provisioning step would.
                 let seed = MemSecretStore::from_label(&format!("tdb-dir:{}", dir.display()))
                     .master_secret()
-                    .map_err(chunk_store::ChunkStoreError::from)?;
+                    .map_err(ChunkStoreError::from)?;
                 let mut initial = [0u8; SECRET_LEN];
                 initial.copy_from_slice(&seed);
                 let secret = FileSecretStore::open_or_init(dir.join("secret.key"), initial)
-                    .map_err(chunk_store::ChunkStoreError::from)?;
-                let counter = FileCounter::open(dir.join("counter"))
-                    .map_err(chunk_store::ChunkStoreError::from)?;
+                    .map_err(ChunkStoreError::from)?;
+                let counter =
+                    FileCounter::open(dir.join("counter")).map_err(ChunkStoreError::from)?;
                 (untrusted, Box::new(secret), Arc::new(counter))
             }
             Substrates::Custom {
@@ -235,55 +229,75 @@ impl Options {
                 secret,
                 counter,
             } => (untrusted, secret, counter),
-        };
-        Ok((
-            untrusted,
-            secret,
-            counter,
-            self.classes,
-            self.extractors,
-            cfg,
-        ))
+        })
     }
 }
 
-/// An open TDB database. Cheap to clone; all clones share the same store.
+/// An open TDB database: the collection store and, through it, the object
+/// and chunk stores beneath. Cheap to clone; all clones share the same
+/// store.
 #[derive(Clone)]
 pub struct Db {
-    inner: Database,
+    collections: CollectionStore,
 }
 
 impl Db {
     /// Open the database described by `options`, creating it if it does not
-    /// exist yet. Opening runs recovery plus tamper and replay validation.
+    /// exist yet. Opening runs recovery plus tamper and replay validation;
+    /// under [`SecurityMode::Full`] an empty store whose one-way counter has
+    /// already advanced is refused as a replay (see
+    /// [`ChunkStore::open_or_create`]).
     pub fn open(options: Options) -> Result<Self> {
-        let (untrusted, secret, counter, classes, extractors, cfg) = options.into_parts()?;
-        let inner = Database::open_or_create(
+        let object = options.store.build()?;
+        let (untrusted, secret, counter) = options.substrates.resolve()?;
+        let fresh = !ChunkStore::database_exists(&*untrusted)?;
+        let chunks = Arc::new(ChunkStore::open_or_create(
             untrusted,
             secret.as_ref(),
             counter,
-            classes,
-            extractors,
-            cfg,
-        )?;
-        Ok(Db { inner })
+            options.chunk,
+        )?);
+        let collections = if fresh {
+            CollectionStore::create(chunks, options.classes, options.extractors, object)?
+        } else {
+            CollectionStore::open(chunks, options.classes, options.extractors, object)?
+        };
+        Ok(Db { collections })
     }
 
-    /// Start a read-write transaction (strict 2PL, private write staging).
-    pub fn begin(&self) -> Txn {
-        Txn {
-            inner: self.inner.collections().begin(),
-        }
+    /// Restore the latest backup chain from `archive` onto the substrates
+    /// `options` names and open the result: device migration in one call.
+    /// The untrusted store must be empty, `options` must ask for one shard,
+    /// and its secret must be the one the backups were taken under.
+    pub fn restore_latest_from(archive: &dyn ArchivalStore, options: Options) -> Result<Self> {
+        require_one_shard("restore_latest_from", options.chunk.shards)?;
+        let object = options.store.build()?;
+        let security = options.chunk.security;
+        let (untrusted, secret, counter) = options.substrates.resolve()?;
+        let chunks = Arc::new(ChunkStore::create(
+            untrusted,
+            secret.as_ref(),
+            counter,
+            options.chunk,
+        )?);
+        BackupManager::restore_latest(archive, secret.as_ref(), security, &chunks)?;
+        let collections =
+            CollectionStore::open(chunks, options.classes, options.extractors, object)?;
+        Ok(Db { collections })
     }
 
-    /// Start a snapshot-isolated read-only transaction. The returned
-    /// [`ReadTxn`] observes the latest committed state, takes **no** locks,
-    /// and pins its snapshot's segments against relocation by the cleaner
-    /// until it is dropped or [`ReadTxn::finish`]ed.
-    pub fn begin_read(&self) -> ReadTxn {
-        ReadTxn {
-            inner: self.inner.collections().begin_read(),
-        }
+    /// Start a read-write transaction (strict 2PL, private write staging),
+    /// committed with an explicit [`Durability`](crate::Durability).
+    pub fn begin(&self) -> CTransaction {
+        self.collections.begin()
+    }
+
+    /// Start a snapshot-isolated read-only transaction. It observes the
+    /// latest committed state, takes **no** locks, and pins its snapshot's
+    /// segments against relocation by the cleaner until it is dropped or
+    /// [`finish`](ReadCTransaction::finish)ed.
+    pub fn begin_read(&self) -> ReadCTransaction {
+        self.collections.begin_read()
     }
 
     /// Start a snapshot-isolated read transaction **validated for
@@ -295,12 +309,12 @@ impl Db {
     /// and [`Proven::prove`](chunk_store::Proven::prove) on this reader
     /// is guaranteed not to fail for configuration reasons.
     ///
-    /// The returned [`ReadTxn`] is otherwise an ordinary reader — the
-    /// default read path builds no proofs and pays nothing beyond the
-    /// snapshot pin; proofs are extracted lazily, per read, on demand.
-    pub fn begin_read_proven(&self) -> Result<ReadTxn> {
-        if self.inner.security() != SecurityMode::Full {
-            return Err(TdbError::Chunk(crate::ChunkStoreError::ConfigMismatch(
+    /// The reader is otherwise an ordinary one — the default read path
+    /// builds no proofs and pays nothing beyond the snapshot pin; proofs
+    /// are extracted lazily, per read, on demand.
+    pub fn begin_read_proven(&self) -> Result<ReadCTransaction> {
+        if self.security() != SecurityMode::Full {
+            return Err(TdbError::Chunk(ChunkStoreError::ConfigMismatch(
                 "proof-carrying reads require SecurityMode::Full \
                      (a store created with SecurityMode::Off has no MAC keys to attest under)"
                     .into(),
@@ -315,12 +329,13 @@ impl Db {
     /// parties entitled to verify. Build a
     /// [`tdb_proof::Verifier`] around it to check proofs offline.
     pub fn trust_anchor(&self) -> Result<tdb_proof::TrustAnchor> {
-        Ok(self.inner.chunk_store().trust_anchor()?)
+        Ok(self.chunk_store().trust_anchor()?)
     }
 
     /// A typed handle to the collection `name`, keyed by `K` through its
     /// functional indexes with members of type `V`. The handle itself does
-    /// no I/O — pair it with a [`Txn`] or [`ReadTxn`].
+    /// no I/O — pair it with a transaction from [`begin`](Self::begin) or
+    /// [`begin_read`](Self::begin_read).
     pub fn collection<K, V>(&self, name: impl Into<String>) -> CollectionHandle<K, V>
     where
         K: Into<Key>,
@@ -332,85 +347,86 @@ impl Db {
         }
     }
 
-    /// The layered view of this database ([`Database`]), for operations the
-    /// facade does not wrap (backups, maintenance, stats, observability).
-    pub fn layers(&self) -> &Database {
-        &self.inner
+    /// The collection store.
+    pub fn collections(&self) -> &CollectionStore {
+        &self.collections
     }
 
-    /// Wrap an already-open layered [`Database`] (built from explicit
-    /// substrates) in the facade handle — the bridge code needs to turn a
-    /// `Database` into a [`Session`](crate::Session) backend.
-    pub fn from_layers(inner: Database) -> Self {
-        Db { inner }
-    }
-}
-
-impl std::ops::Deref for Db {
-    type Target = Database;
-    fn deref(&self) -> &Database {
-        &self.inner
-    }
-}
-
-/// A read-write transaction. Dereferences to [`CTransaction`], so every
-/// collection-store operation (create/read/write collections, roots) is
-/// available directly; commit takes an explicit [`Durability`].
-pub struct Txn {
-    inner: CTransaction,
-}
-
-impl Txn {
-    /// Commit in the given durability mode.
-    pub fn commit(self, durability: Durability) -> Result<()> {
-        self.inner.commit(durability).map_err(TdbError::Collection)
+    /// The object store.
+    pub fn object_store(&self) -> &ObjectStore {
+        self.collections.object_store()
     }
 
-    /// Abort, discarding all staged writes.
-    pub fn abort(self) {
-        self.inner.abort()
+    /// The chunk store (one shard by default).
+    pub fn chunk_store(&self) -> &Arc<ChunkStore> {
+        self.collections.chunk_store()
     }
 
-    /// The wrapped collection-store transaction (by value, for APIs that
-    /// consume it).
-    pub fn into_inner(self) -> CTransaction {
-        self.inner
-    }
-}
-
-impl std::ops::Deref for Txn {
-    type Target = CTransaction;
-    fn deref(&self) -> &CTransaction {
-        &self.inner
-    }
-}
-
-/// A snapshot-isolated read-only transaction. Dereferences to
-/// [`ReadCTransaction`]; dropping it releases the snapshot pin.
-pub struct ReadTxn {
-    inner: ReadCTransaction,
-}
-
-impl ReadTxn {
-    /// The chunk-store commit sequence this reader observes.
-    pub fn commit_seq(&self) -> u64 {
-        self.inner.commit_seq()
+    /// Security mode the database runs in.
+    pub fn security(&self) -> SecurityMode {
+        self.chunk_store().security()
     }
 
-    /// End the transaction, releasing the snapshot pin (same as dropping).
-    pub fn finish(self) {}
-
-    /// The wrapped collection-store read transaction (by value, for APIs
-    /// that consume it).
-    pub fn into_inner(self) -> ReadCTransaction {
-        self.inner
+    /// Idle-time maintenance: checkpoint the location map (the paper defers
+    /// log reorganization to idle periods, §1).
+    pub fn checkpoint(&self) -> Result<()> {
+        self.chunk_store().checkpoint()?;
+        Ok(())
     }
-}
 
-impl std::ops::Deref for ReadTxn {
-    type Target = ReadCTransaction;
-    fn deref(&self) -> &ReadCTransaction {
-        &self.inner
+    /// Idle-time maintenance: run a cleaner pass; returns segments freed.
+    pub fn clean(&self) -> Result<usize> {
+        Ok(self.chunk_store().clean()?)
+    }
+
+    /// The observability registry shared by every layer of this database
+    /// (counters, gauges, and latency histograms; see [`crate::obs`]).
+    pub fn obs(&self) -> Arc<obs::Registry> {
+        self.chunk_store().obs()
+    }
+
+    /// Assemble a diagnostic dump on demand: the same JSON document the
+    /// stall watchdog emits (schema `tdb-diag-v1` — registered store
+    /// states, in-flight operations, and the recent flight-recorder
+    /// trace), with `reason` recorded inside it. Process-wide: a process
+    /// holding several databases sees all of them in one dump.
+    pub fn diagnostics(&self, reason: &str) -> obs::Json {
+        obs::diag::collect(reason)
+    }
+
+    /// [`diagnostics`](Self::diagnostics), also written to `TDB_DIAG_DIR`
+    /// (returns the path, or `None` when the variable is unset).
+    pub fn diagnostics_to_dir(&self, reason: &str) -> std::io::Result<Option<PathBuf>> {
+        let dump = self.diagnostics(reason);
+        obs::diag::write_dump(&dump, "manual")
+    }
+
+    /// Current on-disk size of the log in bytes (Figure 11's metric).
+    pub fn disk_size(&self) -> u64 {
+        self.chunk_store().disk_size()
+    }
+
+    /// Current database utilization.
+    pub fn utilization(&self) -> f64 {
+        self.chunk_store().utilization()
+    }
+
+    /// Build a backup manager writing to `archive` with keys derived from
+    /// `secret` (must be the database's platform secret).
+    pub fn backup_manager(
+        &self,
+        archive: Arc<dyn ArchivalStore>,
+        secret: &dyn SecretStore,
+    ) -> Result<BackupManager> {
+        Ok(BackupManager::new(archive, secret, self.security())?)
+    }
+
+    /// This same handle. Kept for the layer ladder in `benchmark/`
+    /// (`ladder.rs` calls `env.db.layers().{object_store, begin,
+    /// chunk_store}()`), which predates these methods living on `Db`.
+    #[doc(hidden)]
+    pub fn layers(&self) -> &Db {
+        self
     }
 }
 
@@ -441,7 +457,7 @@ where
     }
 
     /// Create the collection with `specs` if it does not exist yet.
-    pub fn ensure(&self, txn: &Txn, specs: &[IndexSpec]) -> Result<()> {
+    pub fn ensure(&self, txn: &CTransaction, specs: &[IndexSpec]) -> Result<()> {
         match txn.create_collection(&self.name, specs) {
             Ok(_) => Ok(()),
             Err(crate::CollectionError::CollectionExists(_)) => Ok(()),
@@ -450,7 +466,7 @@ where
     }
 
     /// Insert a member object.
-    pub fn insert(&self, txn: &Txn, object: V) -> Result<ObjectId> {
+    pub fn insert(&self, txn: &CTransaction, object: V) -> Result<ObjectId> {
         let coll = txn
             .write_collection(&self.name)
             .map_err(TdbError::Collection)?;
@@ -458,13 +474,13 @@ where
     }
 
     /// Writable iterator-based handle within a read-write transaction.
-    pub fn write<'t>(&self, txn: &'t Txn) -> Result<Collection<'t>> {
+    pub fn write<'t>(&self, txn: &'t CTransaction) -> Result<Collection<'t>> {
         txn.write_collection(&self.name)
             .map_err(TdbError::Collection)
     }
 
     /// Snapshot handle within a read-only transaction.
-    pub fn read<'t>(&self, rt: &'t ReadTxn) -> Result<ReadCollection<'t>> {
+    pub fn read<'t>(&self, rt: &'t ReadCTransaction) -> Result<ReadCollection<'t>> {
         rt.read_collection(&self.name).map_err(TdbError::Collection)
     }
 
@@ -472,7 +488,7 @@ where
     /// the snapshot. Returns `None` if no member matches.
     pub fn get<R>(
         &self,
-        rt: &ReadTxn,
+        rt: &ReadCTransaction,
         index: &str,
         key: K,
         f: impl FnOnce(&V) -> R,
@@ -491,14 +507,14 @@ where
 
     /// `(key, id)` entries of `index` in its natural order, as of the
     /// snapshot.
-    pub fn scan(&self, rt: &ReadTxn, index: &str) -> Result<Vec<(Key, ObjectId)>> {
+    pub fn scan(&self, rt: &ReadCTransaction, index: &str) -> Result<Vec<(Key, ObjectId)>> {
         self.read(rt)?.scan(index).map_err(TdbError::Collection)
     }
 
     /// Range query over an ordered index, as of the snapshot.
     pub fn range(
         &self,
-        rt: &ReadTxn,
+        rt: &ReadCTransaction,
         index: &str,
         min: Bound<&Key>,
         max: Bound<&Key>,
@@ -509,12 +525,12 @@ where
     }
 
     /// Member count as of the snapshot.
-    pub fn len(&self, rt: &ReadTxn) -> Result<u64> {
+    pub fn len(&self, rt: &ReadCTransaction) -> Result<u64> {
         self.read(rt)?.len().map_err(TdbError::Collection)
     }
 
     /// Whether the collection is empty as of the snapshot.
-    pub fn is_empty(&self, rt: &ReadTxn) -> Result<bool> {
+    pub fn is_empty(&self, rt: &ReadCTransaction) -> Result<bool> {
         Ok(self.len(rt)? == 0)
     }
 
@@ -523,7 +539,7 @@ where
     /// of members updated. Index maintenance runs when the iterator closes.
     pub fn update(
         &self,
-        txn: &Txn,
+        txn: &CTransaction,
         index: &str,
         key: K,
         mut f: impl FnMut(&mut V),

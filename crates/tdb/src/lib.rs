@@ -26,9 +26,9 @@
 //! architecture (Fig. 1) so "applications link only with the modules they
 //! require": [`tdb_platform`], [`tdb_crypto`], [`chunk_store`],
 //! [`backup_store`], [`object_store`], [`collection_store`]. This crate
-//! re-exports them and adds two facades: the recommended [`Db`] /
-//! [`Options`] / [`Txn`] / [`ReadTxn`] API, and the layer-explicit
-//! [`Database`].
+//! re-exports them and adds one front door: a [`Db`] handle opened from
+//! [`Options`], whose transactions are the collection store's own
+//! [`CTransaction`] and [`ReadCTransaction`].
 //!
 //! # Quickstart
 //!
@@ -69,12 +69,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Arc;
-
 pub mod facade;
 pub mod session;
 
-pub use facade::{CollectionHandle, Db, Options, ReadTxn, Txn};
+pub use facade::{CollectionHandle, Db, Options};
 pub use session::{
     EmbeddedSession, ProvenBytes, ProvenEntries, SResult, Session, SessionRead, SessionStats,
     SessionTxn,
@@ -123,12 +121,10 @@ pub mod proof {
 /// Observability: the metrics registry, histograms, span timers, and the
 /// JSON value type used for bench telemetry. Every layer of an open
 /// database records into one shared [`obs::Registry`], reachable via
-/// [`Database::obs`].
+/// [`Db::obs`].
 pub mod obs {
     pub use tdb_obs::*;
 }
-
-use tdb_platform::{ArchivalStore, OneWayCounter, SecretStore, UntrustedStore};
 
 /// Unified error type of the facade.
 #[derive(Debug)]
@@ -211,196 +207,8 @@ impl From<TdbError> for Error {
 /// Result alias for facade operations.
 pub type Result<T> = std::result::Result<T, TdbError>;
 
-/// Top-level configuration: the chunk-store and object-store knobs.
-#[derive(Clone, Debug, Default)]
-pub struct DatabaseConfig {
-    /// Chunk store configuration (segment size, security mode, utilization,
-    /// checkpoint threshold, ...).
-    pub chunk: ChunkStoreConfig,
-    /// Object store configuration (locking, lock timeout, cache budget).
-    pub object: ObjectStoreConfig,
-}
-
-impl DatabaseConfig {
-    /// Default configuration but with security off — the paper's "TDB"
-    /// (vs. "TDB-S") evaluation configuration.
-    pub fn without_security() -> Self {
-        let mut cfg = Self::default();
-        cfg.chunk.security = SecurityMode::Off;
-        cfg
-    }
-}
-
-/// An open TDB database: the collection store plus handles to the layers
-/// beneath it.
-#[derive(Clone)]
-pub struct Database {
-    collections: CollectionStore,
-    security: SecurityMode,
-}
-
-impl Database {
-    /// Create a fresh database in `untrusted`.
-    pub fn create(
-        untrusted: Arc<dyn UntrustedStore>,
-        secret: &dyn SecretStore,
-        counter: Arc<dyn OneWayCounter>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: DatabaseConfig,
-    ) -> Result<Self> {
-        let security = cfg.chunk.security;
-        let chunks = Arc::new(ChunkStore::create(untrusted, secret, counter, cfg.chunk)?);
-        let collections = CollectionStore::create(chunks, classes, extractors, cfg.object)?;
-        Ok(Database {
-            collections,
-            security,
-        })
-    }
-
-    /// Open an existing database, running recovery and tamper/replay
-    /// validation.
-    pub fn open(
-        untrusted: Arc<dyn UntrustedStore>,
-        secret: &dyn SecretStore,
-        counter: Arc<dyn OneWayCounter>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: DatabaseConfig,
-    ) -> Result<Self> {
-        let security = cfg.chunk.security;
-        let chunks = Arc::new(ChunkStore::open(untrusted, secret, counter, cfg.chunk)?);
-        let collections = CollectionStore::open(chunks, classes, extractors, cfg.object)?;
-        Ok(Database {
-            collections,
-            security,
-        })
-    }
-
-    /// Open if present, else create.
-    pub fn open_or_create(
-        untrusted: Arc<dyn UntrustedStore>,
-        secret: &dyn SecretStore,
-        counter: Arc<dyn OneWayCounter>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: DatabaseConfig,
-    ) -> Result<Self> {
-        let exists = ChunkStore::database_exists(untrusted.as_ref()).unwrap_or(false);
-        if exists {
-            Self::open(untrusted, secret, counter, classes, extractors, cfg)
-        } else {
-            Self::create(untrusted, secret, counter, classes, extractors, cfg)
-        }
-    }
-
-    /// Start a transaction (collections + typed object access through
-    /// [`CollectionStore::object_store`]).
-    pub fn begin(&self) -> CTransaction {
-        self.collections.begin()
-    }
-
-    /// The collection store.
-    pub fn collections(&self) -> &CollectionStore {
-        &self.collections
-    }
-
-    /// The object store.
-    pub fn object_store(&self) -> &ObjectStore {
-        self.collections.object_store()
-    }
-
-    /// The chunk store (one shard by default).
-    pub fn chunk_store(&self) -> &Arc<ChunkStore> {
-        self.collections.chunk_store()
-    }
-
-    /// Security mode the database runs in.
-    pub fn security(&self) -> SecurityMode {
-        self.security
-    }
-
-    /// Idle-time maintenance: checkpoint the location map (the paper defers
-    /// log reorganization to idle periods, §1).
-    pub fn checkpoint(&self) -> Result<()> {
-        self.chunk_store().checkpoint()?;
-        Ok(())
-    }
-
-    /// Idle-time maintenance: run a cleaner pass; returns segments freed.
-    pub fn clean(&self) -> Result<usize> {
-        Ok(self.chunk_store().clean()?)
-    }
-
-    /// The observability registry shared by every layer of this database
-    /// (counters, gauges, and latency histograms; see [`crate::obs`]).
-    pub fn obs(&self) -> Arc<obs::Registry> {
-        self.chunk_store().obs()
-    }
-
-    /// Assemble a diagnostic dump on demand: the same JSON document the
-    /// stall watchdog emits (schema `tdb-diag-v1` — registered store
-    /// states, in-flight operations, and the recent flight-recorder
-    /// trace), with `reason` recorded inside it. Process-wide: a process
-    /// holding several databases sees all of them in one dump.
-    pub fn diagnostics(&self, reason: &str) -> obs::Json {
-        obs::diag::collect(reason)
-    }
-
-    /// [`diagnostics`](Self::diagnostics), also written to `TDB_DIAG_DIR`
-    /// (returns the path, or `None` when the variable is unset).
-    pub fn diagnostics_to_dir(&self, reason: &str) -> std::io::Result<Option<std::path::PathBuf>> {
-        let dump = self.diagnostics(reason);
-        obs::diag::write_dump(&dump, "manual")
-    }
-
-    /// Current on-disk size of the log in bytes (Figure 11's metric).
-    pub fn disk_size(&self) -> u64 {
-        self.chunk_store().disk_size()
-    }
-
-    /// Current database utilization.
-    pub fn utilization(&self) -> f64 {
-        self.chunk_store().utilization()
-    }
-
-    /// Restore the latest backup chain from `archive` onto fresh platform
-    /// substrates and open the result: device migration in one call. The
-    /// untrusted store must be empty, and `cfg` must ask for one shard.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore_latest_from(
-        archive: &dyn ArchivalStore,
-        untrusted: Arc<dyn UntrustedStore>,
-        secret: &dyn SecretStore,
-        counter: Arc<dyn OneWayCounter>,
-        classes: ClassRegistry,
-        extractors: ExtractorRegistry,
-        cfg: DatabaseConfig,
-    ) -> Result<Self> {
-        require_one_shard("restore_latest_from", cfg.chunk.shards)?;
-        let security = cfg.chunk.security;
-        let chunks = Arc::new(ChunkStore::create(untrusted, secret, counter, cfg.chunk)?);
-        BackupManager::restore_latest(archive, secret, security, &chunks)?;
-        let collections = CollectionStore::open(chunks, classes, extractors, cfg.object)?;
-        Ok(Database {
-            collections,
-            security,
-        })
-    }
-
-    /// Build a backup manager writing to `archive` with keys derived from
-    /// `secret` (must be the database's platform secret).
-    pub fn backup_manager(
-        &self,
-        archive: Arc<dyn ArchivalStore>,
-        secret: &dyn SecretStore,
-    ) -> Result<BackupManager> {
-        Ok(BackupManager::new(archive, secret, self.security)?)
-    }
-}
-
 /// The one refusal of every backup and restore entry point
-/// ([`Database::restore_latest_from`] and the session's `backup_full`,
+/// ([`Db::restore_latest_from`] and the session's `backup_full`,
 /// `backup_incremental` and `restore_latest`): backups speak in the chunk
 /// ids of one log, so a database of several shards is refused here, with
 /// the operation name and the shard count in the message.

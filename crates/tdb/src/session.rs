@@ -393,21 +393,19 @@ impl Db {
 impl Session for EmbeddedSession {
     fn begin(&self) -> SResult<Box<dyn SessionTxn + '_>> {
         Ok(Box::new(EmbeddedTxn {
-            txn: Some(self.db.layers().collections().begin()),
+            txn: Some(self.db.begin()),
         }))
     }
 
     fn begin_read(&self) -> SResult<Box<dyn SessionRead + '_>> {
         Ok(Box::new(EmbeddedRead {
-            rt: self.db.layers().collections().begin_read(),
+            rt: self.db.begin_read(),
         }))
     }
 
     fn begin_read_proven(&self) -> SResult<Box<dyn SessionRead + '_>> {
         let rt = self.db.begin_read_proven().map_err(terr)?;
-        Ok(Box::new(EmbeddedRead {
-            rt: rt.into_inner(),
-        }))
+        Ok(Box::new(EmbeddedRead { rt }))
     }
 
     fn fork(&self) -> SResult<Box<dyn Session>> {
@@ -418,7 +416,7 @@ impl Session for EmbeddedSession {
     }
 
     fn classes(&self) -> &ClassRegistry {
-        self.db.layers().object_store().classes()
+        self.db.object_store().classes()
     }
 
     fn trust_anchor(&self) -> SResult<Vec<u8>> {
@@ -427,7 +425,7 @@ impl Session for EmbeddedSession {
     }
 
     fn stats(&self) -> SResult<SessionStats> {
-        Ok(session_stats(self.db.layers()))
+        Ok(session_stats(&self.db))
     }
 
     fn checkpoint(&self) -> SResult<()> {
@@ -458,12 +456,12 @@ pub(crate) fn restore_is_offline() -> Error {
     Error::new(
         ErrorKind::Usage,
         "restore requires an offline, empty database; \
-         use Database::restore_latest_from on fresh substrates",
+         use Db::restore_latest_from on fresh substrates",
     )
 }
 
 /// Assemble [`SessionStats`] from a database's obs registry.
-pub fn session_stats(db: &crate::Database) -> SessionStats {
+fn session_stats(db: &Db) -> SessionStats {
     let snap = db.chunk_store().obs_snapshot();
     let group = snap.histograms.get("commit.group_size");
     SessionStats {

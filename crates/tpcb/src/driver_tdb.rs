@@ -7,7 +7,7 @@
 //! paper's driver inherits from Berkeley DB's TPC-B implementation.
 //!
 //! The driver does not care which backend is underneath: built with
-//! [`TdbDriver::new`]/[`TdbDriver::with_platform`] it runs embedded
+//! [`TdbDriver::new`] it runs embedded
 //! (every call a plain function call); built with
 //! [`TdbDriver::over_session`] it runs against whatever [`Session`] you
 //! hand it — e.g. a `tdb_client::RemoteDb` talking to a `tdb-server`.
@@ -17,12 +17,10 @@
 
 use crate::runner::{ParallelTpcbSystem, TpcbSystem, TpcbWorker};
 use crate::schema::{register_tpcb_classes, register_tpcb_extractors, HistoryRecord, TpcbRecord};
-use std::sync::Arc;
-use tdb::platform::{MemSecretStore, OneWayCounter, SecretStore, UntrustedStore, VolatileCounter};
 use tdb::session::{modify_bytes, to_bytes, with_bytes};
 use tdb::{
-    ClassRegistry, Database, DatabaseConfig, Db, Durability, Error, ExtractorRegistry, IndexKind,
-    IndexSpec, Key, Session,
+    ClassRegistry, Db, Durability, Error, ExtractorRegistry, IndexKind, IndexSpec, Key, Options,
+    Session,
 };
 use tdb_obs::RegistrySnapshot;
 
@@ -32,7 +30,7 @@ pub struct TdbDriver {
     /// Retained only by the embedded constructors, for telemetry access
     /// the session API deliberately does not expose
     /// ([`TdbDriver::database`], [`TdbDriver::measured_obs`]).
-    db: Option<Database>,
+    db: Option<Db>,
     /// Commit durability (the paper's runs are durable).
     pub durable: bool,
     /// Observability snapshot taken when [`TpcbSystem::load`] finished —
@@ -45,26 +43,16 @@ pub struct TdbDriver {
 }
 
 impl TdbDriver {
-    /// Build over an untrusted store with a volatile counter (benchmarks).
-    pub fn new(untrusted: Arc<dyn UntrustedStore>, cfg: DatabaseConfig) -> Self {
-        let counter: Arc<dyn OneWayCounter> = Arc::new(VolatileCounter::new());
-        Self::with_platform(untrusted, &MemSecretStore::from_label("tpcb"), counter, cfg)
-    }
-
-    /// Build with explicit platform substrates (embedded backend).
-    pub fn with_platform(
-        untrusted: Arc<dyn UntrustedStore>,
-        secret: &dyn SecretStore,
-        counter: Arc<dyn OneWayCounter>,
-        cfg: DatabaseConfig,
-    ) -> Self {
+    /// Open the database `options` describes, with the TPC-B classes and
+    /// extractors registered in place of any it carries (embedded backend).
+    pub fn new(options: Options) -> Self {
         let mut classes = ClassRegistry::new();
         register_tpcb_classes(&mut classes);
         let mut extractors = ExtractorRegistry::new();
         register_tpcb_extractors(&mut extractors);
-        let db = Database::create(untrusted, secret, counter, classes, extractors, cfg).unwrap();
+        let db = Db::open(options.classes(classes).extractors(extractors)).unwrap();
         TdbDriver {
-            session: Box::new(Db::from_layers(db.clone()).session()),
+            session: Box::new(db.session()),
             db: Some(db),
             durable: true,
             load_baseline: None,
@@ -90,7 +78,7 @@ impl TdbDriver {
 
     /// The database (post-run inspection). Only available on the embedded
     /// backend — a remote driver has no in-process database handle.
-    pub fn database(&self) -> &Database {
+    pub fn database(&self) -> &Db {
         self.db
             .as_ref()
             .expect("driver runs over a remote session; no embedded database handle")

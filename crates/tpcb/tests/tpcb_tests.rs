@@ -2,7 +2,7 @@
 //! stream and must agree on every balance.
 
 use std::sync::Arc;
-use tdb::DatabaseConfig;
+use tdb::{Options, SecurityMode};
 use tdb_platform::MemStore;
 use tpcb::{run_benchmark, BaselineDriver, TdbDriver, TpcbConfig, TpcbSystem};
 
@@ -18,7 +18,7 @@ fn small_cfg() -> TpcbConfig {
 #[test]
 fn drivers_agree_on_balances() {
     let cfg = small_cfg();
-    let mut tdb_sys = TdbDriver::new(Arc::new(MemStore::new()), DatabaseConfig::default());
+    let mut tdb_sys = TdbDriver::new(Options::in_memory());
     let mut bdb_sys = BaselineDriver::new(
         Arc::new(MemStore::new()),
         baseline::BaselineConfig::default(),
@@ -52,10 +52,7 @@ fn drivers_agree_on_balances() {
 #[test]
 fn reports_are_sane() {
     let cfg = small_cfg();
-    let mut sys = TdbDriver::new(
-        Arc::new(MemStore::new()),
-        DatabaseConfig::without_security(),
-    );
+    let mut sys = TdbDriver::new(Options::in_memory().security(SecurityMode::Off));
     let report = run_benchmark(&mut sys, &cfg);
     assert!(report.avg_response_ms > 0.0);
     assert!(
@@ -75,10 +72,7 @@ fn group_stats_count_measured_transactions_exactly() {
     // the load-phase baseline, so group stats are per-user-commit exact.
     tdb_obs::set_enabled(true);
     let cfg = small_cfg();
-    let mut sys = TdbDriver::new(
-        Arc::new(MemStore::new()),
-        DatabaseConfig::without_security(),
-    );
+    let mut sys = TdbDriver::new(Options::in_memory().security(SecurityMode::Off));
     run_benchmark(&mut sys, &cfg);
 
     let measured = sys.measured_obs();
@@ -112,16 +106,17 @@ fn group_stats_count_measured_transactions_exactly() {
 fn tdb_survives_reopen_after_benchmark() {
     // The benchmark leaves a consistent, recoverable database behind.
     let mem = MemStore::new();
-    let secret = tdb::platform::MemSecretStore::from_label("tpcb");
     let counter = tdb::platform::VolatileCounter::new();
+    let options = || {
+        Options::in_memory().with_substrates(
+            Arc::new(mem.clone()),
+            tdb::platform::MemSecretStore::from_label("tpcb"),
+            Arc::new(counter.clone()),
+        )
+    };
     let balance_before;
     {
-        let mut sys = TdbDriver::with_platform(
-            Arc::new(mem.clone()),
-            &secret,
-            Arc::new(counter.clone()),
-            DatabaseConfig::default(),
-        );
+        let mut sys = TdbDriver::new(options());
         run_benchmark(&mut sys, &small_cfg());
         balance_before = sys.account_balance(0);
     }
@@ -129,15 +124,7 @@ fn tdb_survives_reopen_after_benchmark() {
     tpcb::register_tpcb_classes(&mut classes);
     let mut extractors = tdb::ExtractorRegistry::new();
     tpcb::register_tpcb_extractors(&mut extractors);
-    let db = tdb::Database::open(
-        Arc::new(mem),
-        &secret,
-        Arc::new(counter),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
-    .unwrap();
+    let db = tdb::Db::open(options().classes(classes).extractors(extractors)).unwrap();
     let t = db.begin();
     let coll = t.read_collection("account").unwrap();
     let it = coll.exact("by-id", &tdb::Key::U64(0)).unwrap();

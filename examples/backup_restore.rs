@@ -10,9 +10,8 @@ use std::ops::Bound;
 use std::sync::Arc;
 use tdb::platform::{ArchivalStore, MemArchive, MemSecretStore, MemStore, VolatileCounter};
 use tdb::{
-    impl_persistent_boilerplate, ClassRegistry, Database, DatabaseConfig, Db, Durability,
-    ExtractorRegistry, IndexKind, IndexSpec, Key, Options, Persistent, PickleError, Pickler,
-    Unpickler,
+    impl_persistent_boilerplate, ClassRegistry, Db, Durability, ExtractorRegistry, IndexKind,
+    IndexSpec, Key, Options, Persistent, PickleError, Pickler, Unpickler,
 };
 
 const CLASS_BOOK: u32 = 0xB00C_0001;
@@ -52,42 +51,30 @@ fn registries() -> (ClassRegistry, ExtractorRegistry) {
     (classes, extractors)
 }
 
-fn new_device(label: &str) -> (Db, MemSecretStore) {
-    let secret = MemSecretStore::from_label(label);
+/// A brand-new (empty) device provisioned with the platform secret
+/// derived from `label`.
+fn device(label: &str) -> Options {
     let (classes, extractors) = registries();
-    let db = Db::open(
-        Options::in_memory()
-            .with_substrates(
-                Arc::new(MemStore::new()),
-                secret.clone(),
-                Arc::new(VolatileCounter::new()),
-            )
-            .classes(classes)
-            .extractors(extractors),
-    )
-    .unwrap();
-    (db, secret)
+    Options::in_memory()
+        .with_substrates(
+            Arc::new(MemStore::new()),
+            MemSecretStore::from_label(label),
+            Arc::new(VolatileCounter::new()),
+        )
+        .classes(classes)
+        .extractors(extractors)
 }
 
-/// Restore the archive's latest chain onto a brand-new (empty) device.
-fn restore_device(archive: &dyn ArchivalStore, label: &str) -> Result<Database, tdb::TdbError> {
-    let secret = MemSecretStore::from_label(label);
-    let (classes, extractors) = registries();
-    Database::restore_latest_from(
-        archive,
-        Arc::new(MemStore::new()),
-        &secret,
-        Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
+/// Restore the archive's latest chain onto a brand-new device.
+fn restore_device(archive: &dyn ArchivalStore, label: &str) -> Result<Db, tdb::TdbError> {
+    Db::restore_latest_from(archive, device(label))
 }
 
 fn main() {
     // Same platform secret on both devices (provisioned by the DRM
     // authority); separate one-way counters and storage.
-    let (db, secret) = new_device("reader-family-secret");
+    let secret = MemSecretStore::from_label("reader-family-secret");
+    let db = Db::open(device("reader-family-secret")).unwrap();
 
     let t = db.begin();
     let books = t
@@ -144,9 +131,8 @@ fn main() {
 
     // The reader is dropped in a lake. Restore onto a new device.
     let replacement = restore_device(&*archive, "reader-family-secret").unwrap();
-    // Verify through a snapshot-isolated read transaction (layer API — the
-    // restore handed back a `Database`).
-    let r = replacement.collections().begin_read();
+    // Verify through a snapshot-isolated read transaction.
+    let r = replacement.begin_read();
     let books = r.read_collection("books").unwrap();
     let ids = books
         .exact("by-title", &Key::str("Permutation City"))

@@ -34,12 +34,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use tdb::platform::{
     apply_tamper, CrashSchedule, FaultEvent, FaultPlan, FaultStore, MemSecretStore, MemStore,
-    OneWayCounter, TamperMode, VolatileCounter,
+    OneWayCounter, TamperMode, UntrustedStore, VolatileCounter,
 };
 use tdb::{
-    impl_persistent_boilerplate, ChunkStoreConfig, ClassRegistry, Database, DatabaseConfig,
-    Durability, ErrorKind, ExtractorRegistry, IndexKind, IndexSpec, Key, Persistent, PickleError,
-    Pickler, TdbError, Unpickler,
+    impl_persistent_boilerplate, ChunkStoreConfig, ClassRegistry, Db, Durability, ErrorKind,
+    ExtractorRegistry, IndexKind, IndexSpec, Key, Options, Persistent, PickleError, Pickler,
+    TdbError, Unpickler,
 };
 
 const CLASS_CELL: u32 = 0x70B7_0001;
@@ -197,16 +197,25 @@ struct Rig {
     counter: VolatileCounter,
     secret: MemSecretStore,
     plan: FaultPlan,
-    db: Database,
+    db: Db,
 }
 
-fn db_config(shards: usize) -> DatabaseConfig {
+/// The torture database over the given substrates: the cell schema on a
+/// small-segment store of `shards` shards.
+fn options(
+    store: Arc<dyn UntrustedStore>,
+    secret: &MemSecretStore,
+    counter: VolatileCounter,
+    shards: usize,
+) -> Options {
+    let (classes, extractors) = registries();
     let mut chunk = ChunkStoreConfig::small_for_tests();
     chunk.shards = shards;
-    DatabaseConfig {
-        chunk,
-        ..Default::default()
-    }
+    Options::in_memory()
+        .with_substrates(store, secret.clone(), Arc::new(counter))
+        .classes(classes)
+        .extractors(extractors)
+        .chunk_config(chunk)
 }
 
 impl Rig {
@@ -219,15 +228,12 @@ impl Rig {
         let secret = MemSecretStore::from_label("torture");
         let plan = FaultPlan::unlimited();
         plan.set_tracing(true);
-        let (classes, extractors) = registries();
-        let db = Database::create(
+        let db = Db::open(options(
             Arc::new(FaultStore::new(mem.clone(), plan.clone())),
             &secret,
-            Arc::new(counter.clone()),
-            classes,
-            extractors,
-            db_config(cfg.shards),
-        )
+            counter.clone(),
+            cfg.shards,
+        ))
         .expect("fault-free create");
         let t = db.begin();
         let c = t
@@ -254,7 +260,7 @@ impl Rig {
 }
 
 /// Execute one scripted step; any error means the simulated crash fired.
-fn run_step(db: &Database, step: &Step) -> Result<(), String> {
+fn run_step(db: &Db, step: &Step) -> Result<(), String> {
     let t = db.begin();
     let body = (|| -> Result<(), String> {
         let c = t.write_collection("cells").map_err(|e| e.to_string())?;
@@ -297,7 +303,7 @@ struct RunResult {
     crashed_step: usize,
 }
 
-fn run_script(db: &Database, steps: &[Step]) -> RunResult {
+fn run_script(db: &Db, steps: &[Step]) -> RunResult {
     let mut last_durable_acked = 0;
     for (i, step) in steps.iter().enumerate() {
         match run_step(db, step) {
@@ -347,7 +353,7 @@ fn run_script(db: &Database, steps: &[Step]) -> RunResult {
 /// Read the full recovered state back (every readable cell). A read-side
 /// tamper detection surfaces as `Err` carrying the layer error, so callers
 /// can classify it by [`tdb::ErrorKind`].
-fn read_state(db: &Database) -> Result<State, TdbError> {
+fn read_state(db: &Db) -> Result<State, TdbError> {
     let t = db.begin();
     let c = t.read_collection("cells")?;
     let mut state = State::new();
@@ -620,17 +626,12 @@ pub fn run_torture_with_obs(cfg: &TortureConfig) -> (TortureReport, tdb::obs::Re
 
         // ---- pure crash: recovery must succeed and land admissibly -----
         let pristine = rig.mem.deep_clone();
-        let recovered = {
-            let (classes, extractors) = registries();
-            Database::open(
-                Arc::new(pristine),
-                &rig.secret,
-                Arc::new(counter_at(hw)),
-                classes,
-                extractors,
-                db_config(cfg.shards),
-            )
-        };
+        let recovered = Db::open(options(
+            Arc::new(pristine),
+            &rig.secret,
+            counter_at(hw),
+            cfg.shards,
+        ));
         let db = match recovered {
             Ok(db) => db,
             Err(e) => panic!("{}: pure-crash recovery failed: {e}", point.label),
@@ -666,7 +667,7 @@ pub fn run_torture_with_obs(cfg: &TortureConfig) -> (TortureReport, tdb::obs::Re
         {
             let verifier =
                 tdb::proof::Verifier::new(chunks.trust_anchor().expect("recovered trust anchor"));
-            let r = db.collections().begin_read();
+            let r = db.begin_read();
             let c = r.read_collection("cells").expect("cells collection");
             let hit = c
                 .exact_proven("by-id", &Key::U64(0))
@@ -730,15 +731,12 @@ pub fn run_torture_with_obs(cfg: &TortureConfig) -> (TortureReport, tdb::obs::Re
                 continue;
             }
             report.tampers_injected += 1;
-            let (classes, extractors) = registries();
-            let outcome = Database::open(
+            let outcome = Db::open(options(
                 Arc::new(victim),
                 &rig.secret,
-                Arc::new(counter_at(hw)),
-                classes,
-                extractors,
-                db_config(cfg.shards),
-            );
+                counter_at(hw),
+                cfg.shards,
+            ));
             let verdict = match outcome {
                 Err(e) => Ok(e.kind()),
                 Ok(db) => match read_state(&db) {

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use tdb::platform::{MemSecretStore, MemStore, OneWayCounter, UntrustedStore, VolatileCounter};
 use tdb::Durability;
 use tdb::{
-    impl_persistent_boilerplate, ChunkStoreError, ClassRegistry, CollectionError, Database,
-    DatabaseConfig, ExtractorRegistry, IndexKind, IndexSpec, Key, ObjectStoreError, Persistent,
-    PickleError, Pickler, TdbError, Unpickler,
+    impl_persistent_boilerplate, ChunkStoreConfig, ChunkStoreError, ClassRegistry, CollectionError,
+    Db, ErrorKind, ExtractorRegistry, IndexKind, IndexSpec, Key, ObjectStoreError, Options,
+    Persistent, PickleError, Pickler, SecurityMode, TdbError, Unpickler,
 };
 
 const CLASS_SECRETVAL: u32 = 0x5EC0_0001;
@@ -47,18 +47,25 @@ fn registries() -> (ClassRegistry, ExtractorRegistry) {
     (classes, extractors)
 }
 
-fn build_database(mem: &MemStore, counter: &VolatileCounter) -> Vec<Vec<u8>> {
+/// The vault schema over `mem` and `counter`, under the device secret.
+fn options(mem: &MemStore, counter: &VolatileCounter) -> Options {
     let (classes, extractors) = registries();
-    let secret = MemSecretStore::from_label("adversarial");
-    let db = Database::create(
-        Arc::new(mem.clone()),
-        &secret,
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
-    .unwrap();
+    Options::in_memory()
+        .with_substrates(
+            Arc::new(mem.clone()),
+            MemSecretStore::from_label("adversarial"),
+            Arc::new(counter.clone()),
+        )
+        .classes(classes)
+        .extractors(extractors)
+}
+
+fn build_database(mem: &MemStore, counter: &VolatileCounter) -> Vec<Vec<u8>> {
+    fill_vault(&Db::open(options(mem, counter)).unwrap())
+}
+
+/// Create the vault in `db` with 80 secret payloads, committed durably.
+fn fill_vault(db: &Db) -> Vec<Vec<u8>> {
     let t = db.begin();
     let c = t
         .create_collection(
@@ -84,17 +91,12 @@ fn build_database(mem: &MemStore, counter: &VolatileCounter) -> Vec<Vec<u8>> {
 /// Open the database and read everything back; `Ok` only if every payload
 /// matches exactly.
 fn read_all(mem: &MemStore, counter: &VolatileCounter, expect: &[Vec<u8>]) -> Result<(), String> {
-    let (classes, extractors) = registries();
-    let secret = MemSecretStore::from_label("adversarial");
-    let db = Database::open(
-        Arc::new(mem.clone()),
-        &secret,
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
-    .map_err(|e| e.to_string())?;
+    read_vault(options(mem, counter), expect)
+}
+
+/// [`read_all`] for the database `options` opens.
+fn read_vault(options: Options, expect: &[Vec<u8>]) -> Result<(), String> {
+    let db = Db::open(options).map_err(|e| e.to_string())?;
     let t = db.begin();
     let c = t.read_collection("vault").map_err(|e| e.to_string())?;
     for (id, payload) in expect.iter().enumerate() {
@@ -210,23 +212,12 @@ fn is_free_segment(raw: &[u8]) -> bool {
 
 /// 16 KiB segments and committer-driven maintenance, so the vault spans
 /// several segments at deterministic places.
-fn spanning_config() -> DatabaseConfig {
-    let mut cfg = DatabaseConfig::default();
-    cfg.chunk.segment_size = 16 * 1024;
-    cfg.chunk.background_maintenance = false;
-    cfg
-}
-
-fn open_spanning(mem: &MemStore, counter: &VolatileCounter) -> Result<Database, TdbError> {
-    let (classes, extractors) = registries();
-    Database::open(
-        Arc::new(mem.clone()),
-        &MemSecretStore::from_label("adversarial"),
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        spanning_config(),
-    )
+fn open_spanning(mem: &MemStore, counter: &VolatileCounter) -> Result<Db, TdbError> {
+    Db::open(options(mem, counter).chunk_config(ChunkStoreConfig {
+        segment_size: 16 * 1024,
+        background_maintenance: false,
+        ..ChunkStoreConfig::default()
+    }))
 }
 
 /// The record kinds in a segment file, in log order, up to the first bytes
@@ -249,16 +240,7 @@ fn record_kinds(raw: &[u8]) -> Vec<RecordKind> {
 fn zeroing_a_live_segment_header_is_detected() {
     let mem = MemStore::new();
     let counter = VolatileCounter::new();
-    let (classes, extractors) = registries();
-    let db = Database::create(
-        Arc::new(mem.clone()),
-        &MemSecretStore::from_label("adversarial"),
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        spanning_config(),
-    )
-    .unwrap();
+    let db = open_spanning(&mem, &counter).unwrap();
     // One ~100 KB transaction: its chunk records fill several segments
     // before its commit record, then the checkpoint starts the residual
     // log in the tail segment.
@@ -362,16 +344,7 @@ fn error_types_are_distinguishable() {
     for off in (0..copy.raw("seg.000000").unwrap().len()).step_by(11) {
         copy.corrupt("seg.000000", off as u64, 1).unwrap();
     }
-    let (classes, extractors) = registries();
-    let secret = MemSecretStore::from_label("adversarial");
-    match Database::open(
-        Arc::new(copy),
-        &secret,
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    ) {
+    match Db::open(options(&copy, &counter)) {
         Err(TdbError::Chunk(ChunkStoreError::TamperDetected(_))) => {}
         other => panic!(
             "expected TamperDetected, got {:?}",
@@ -383,15 +356,7 @@ fn error_types_are_distinguishable() {
     let old = mem.deep_clone();
     counter.increment().unwrap();
     counter.increment().unwrap();
-    let (classes, extractors) = registries();
-    match Database::open(
-        Arc::new(old),
-        &secret,
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    ) {
+    match Db::open(options(&old, &counter)) {
         Err(TdbError::Chunk(ChunkStoreError::ReplayDetected { .. })) => {}
         other => panic!(
             "expected ReplayDetected, got {:?}",
@@ -455,17 +420,7 @@ fn stale_segment_replay_is_detected_and_distinguishable() {
     // The device moves on: durable updates advance the state and the
     // one-way counter.
     {
-        let (classes, extractors) = registries();
-        let secret = MemSecretStore::from_label("adversarial");
-        let db = Database::open(
-            Arc::new(mem.clone()),
-            &secret,
-            Arc::new(counter.clone()),
-            classes,
-            extractors,
-            DatabaseConfig::default(),
-        )
-        .unwrap();
+        let db = Db::open(options(&mem, &counter)).unwrap();
         for round in 0..4u64 {
             let t = db.begin();
             let c = t.write_collection("vault").unwrap();
@@ -489,16 +444,7 @@ fn stale_segment_replay_is_detected_and_distinguishable() {
 
     // Attack 1: restore the whole T0 image. Internally consistent, so only
     // the counter can give it away — as a replay, with both values named.
-    let (classes, extractors) = registries();
-    let secret = MemSecretStore::from_label("adversarial");
-    match Database::open(
-        Arc::new(whole_t0),
-        &secret,
-        Arc::new(counter.clone()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    ) {
+    match Db::open(options(&whole_t0, &counter)) {
         Err(TdbError::Chunk(ChunkStoreError::ReplayDetected {
             anchor_counter,
             hardware_counter,
@@ -529,15 +475,7 @@ fn stale_segment_replay_is_detected_and_distinguishable() {
         f.set_len(0).unwrap();
         f.write_at(0, old_bytes).unwrap();
 
-        let (classes, extractors) = registries();
-        match Database::open(
-            Arc::new(victim.clone()),
-            &secret,
-            Arc::new(counter.clone()),
-            classes,
-            extractors,
-            DatabaseConfig::default(),
-        ) {
+        match Db::open(options(&victim, &counter)) {
             Err(TdbError::Chunk(ChunkStoreError::ReplayDetected { .. })) => {
                 panic!("splicing {name}: single-segment rollback misreported as replay")
             }
@@ -555,4 +493,79 @@ fn stale_segment_replay_is_detected_and_distinguishable() {
         spliced > 0,
         "advancing the database must have rewritten some segment"
     );
+}
+
+/// Delete every anchor and root-of-roots slot from `mem`: what remains is
+/// the log of a database whose trust anchor is gone.
+fn wipe_anchors(mem: &MemStore) {
+    let mut wiped = 0;
+    for name in mem.list().unwrap() {
+        // Shard files carry a `shard{k}--` prefix.
+        let base = name.rsplit("--").next().unwrap();
+        if base.starts_with("anchor.") || base.starts_with("rr.") {
+            mem.remove(&name).unwrap();
+            wiped += 1;
+        }
+    }
+    assert!(wiped >= 2, "no anchor slots found to wipe");
+}
+
+/// Deleting the anchor of a durable database (the whole-database rollback
+/// to "before creation") is refused as a replay at open — at one shard and
+/// at two — instead of reopening as an empty database: the one-way counter
+/// has advanced, so a database existed here.
+#[test]
+fn wiping_the_anchor_is_detected_as_replay() {
+    for shards in [1, 2] {
+        let mem = MemStore::new();
+        let counter = VolatileCounter::new();
+        let db = Db::open(options(&mem, &counter).shards(shards)).unwrap();
+        let payloads = fill_vault(&db);
+        drop(db);
+        read_vault(options(&mem, &counter).shards(shards), &payloads)
+            .expect("clean database must read");
+
+        wipe_anchors(&mem);
+        assert!(counter.read().unwrap() > 0);
+        match Db::open(options(&mem, &counter).shards(shards)) {
+            Err(e) => assert_eq!(e.kind(), ErrorKind::Replay, "{shards} shards: {e}"),
+            Ok(_) => panic!("{shards} shards: a wiped anchor reopened as an empty database"),
+        }
+    }
+}
+
+/// The refusal keys on the counter, not on the missing anchor: an empty
+/// store with a counter still at zero is a fresh device and creates.
+#[test]
+fn a_fresh_counter_still_creates() {
+    let mem = MemStore::new();
+    let counter = VolatileCounter::new();
+    build_database(&mem, &counter);
+    wipe_anchors(&mem);
+    let fresh = VolatileCounter::new();
+    let db = Db::open(options(&mem, &fresh)).expect("zero counter: create");
+    let r = db.begin_read();
+    assert!(matches!(
+        r.read_collection("vault"),
+        Err(CollectionError::NoSuchCollection(_))
+    ));
+    assert!(fresh.read().unwrap() > 0, "creation binds the new anchor");
+}
+
+/// Without security there is no counter binding to check: a wiped store
+/// opens as a new, empty database, as it always has.
+#[test]
+fn security_off_wipe_still_opens_empty() {
+    let mem = MemStore::new();
+    let counter = VolatileCounter::new();
+    let off = || options(&mem, &counter).security(SecurityMode::Off);
+    fill_vault(&Db::open(off()).unwrap());
+    wipe_anchors(&mem);
+    counter.increment().unwrap();
+    let db = Db::open(off()).expect("SecurityMode::Off: create");
+    let r = db.begin_read();
+    assert!(matches!(
+        r.read_collection("vault"),
+        Err(CollectionError::NoSuchCollection(_))
+    ));
 }

@@ -11,8 +11,8 @@ use tdb::platform::{
 };
 use tdb::Durability;
 use tdb::{
-    impl_persistent_boilerplate, ClassRegistry, Database, DatabaseConfig, ExtractorRegistry,
-    IndexKind, IndexSpec, Key, Persistent, PickleError, Pickler, Unpickler,
+    impl_persistent_boilerplate, ClassRegistry, Db, ExtractorRegistry, IndexKind, IndexSpec, Key,
+    Options, Persistent, PickleError, Pickler, SecurityMode, StoreOptions, Unpickler,
 };
 
 const CLASS_ACCOUNT: u32 = 0xACC7_0001;
@@ -70,21 +70,28 @@ fn specs() -> [IndexSpec; 1] {
     [IndexSpec::new("by-id", "account.id", true, IndexKind::Hash)]
 }
 
-fn make_db(store: Arc<dyn UntrustedStore>, cfg: DatabaseConfig) -> Database {
-    let secret = MemSecretStore::from_label("concurrent-commit");
+/// The account schema over `store`, with the platform secret derived from
+/// `label` and `counter` as the one-way counter.
+fn options(store: Arc<dyn UntrustedStore>, label: &str, counter: &VolatileCounter) -> Options {
     let (classes, extractors) = registries();
-    Database::create(
-        store,
-        &secret,
-        Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        cfg,
-    )
-    .unwrap()
+    Options::in_memory()
+        .with_substrates(
+            store,
+            MemSecretStore::from_label(label),
+            Arc::new(counter.clone()),
+        )
+        .classes(classes)
+        .extractors(extractors)
 }
 
-fn create_accounts(db: &Database, n: u64) {
+/// A fresh database over `store`: `tune` adjusts the options, then
+/// security is switched off.
+fn make_db(store: Arc<dyn UntrustedStore>, tune: impl FnOnce(Options) -> Options) -> Db {
+    let base = options(store, "concurrent-commit", &VolatileCounter::new());
+    Db::open(tune(base).security(SecurityMode::Off)).unwrap()
+}
+
+fn create_accounts(db: &Db, n: u64) {
     let t = db.begin();
     let c = t.create_collection("accounts", &specs()).unwrap();
     for id in 0..n {
@@ -97,7 +104,7 @@ fn create_accounts(db: &Database, n: u64) {
 /// One TPC-B-style transfer: move one unit from `from` to `to`, bumping
 /// the source's hit count, all in a single durable transaction. Accounts
 /// are always locked in id order so concurrent transfers cannot deadlock.
-fn transfer(db: &Database, from: u64, to: u64) -> Result<(), String> {
+fn transfer(db: &Db, from: u64, to: u64) -> Result<(), String> {
     let t = db.begin();
     let result = (|| -> Result<(), String> {
         let c = t.write_collection("accounts").map_err(|e| e.to_string())?;
@@ -128,7 +135,7 @@ fn transfer(db: &Database, from: u64, to: u64) -> Result<(), String> {
 
 /// Read back every account; returns (count, balance sum, hits sum, and the
 /// per-account (balance, hits) map).
-fn scan_accounts(db: &Database) -> (usize, i64, i64, Vec<(i64, i64)>) {
+fn scan_accounts(db: &Db) -> (usize, i64, i64, Vec<(i64, i64)>) {
     let t = db.begin();
     let c = t.read_collection("accounts").unwrap();
     let mut it = c.scan("by-id").unwrap();
@@ -171,10 +178,7 @@ fn threaded_transfers_preserve_balance_and_lose_no_updates() {
     const THREADS: u64 = 4;
     const TRANSFERS: u64 = 250;
 
-    let db = make_db(
-        Arc::new(MemStore::new()),
-        DatabaseConfig::without_security(),
-    );
+    let db = make_db(Arc::new(MemStore::new()), |o| o);
     create_accounts(&db, ACCOUNTS);
 
     // Expected per-account state, updated only after a commit is
@@ -247,19 +251,14 @@ fn crash_mid_group_commit_recovers_cleanly() {
     for budget in [2_000u64, 8_000, 30_000] {
         let mem = MemStore::new();
         let counter = VolatileCounter::new();
-        let secret = MemSecretStore::from_label("crash-group");
         let plan = FaultPlan::unlimited();
-        let (classes, extractors) = registries();
         let acked = AtomicU64::new(0);
         {
-            let db = Database::create(
+            let db = Db::open(options(
                 Arc::new(FaultStore::new(mem.clone(), plan.clone())),
-                &secret,
-                Arc::new(counter.clone()),
-                classes,
-                extractors,
-                DatabaseConfig::default(),
-            )
+                "crash-group",
+                &counter,
+            ))
             .unwrap();
             create_accounts(&db, ACCOUNTS);
 
@@ -287,16 +286,8 @@ fn crash_mid_group_commit_recovers_cleanly() {
         }
 
         // Recover from the surviving bytes with a fresh "process".
-        let (classes, extractors) = registries();
-        let db = Database::open(
-            Arc::new(mem),
-            &secret,
-            Arc::new(counter),
-            classes,
-            extractors,
-            DatabaseConfig::default(),
-        )
-        .unwrap_or_else(|e| panic!("budget {budget}: recovery failed: {e}"));
+        let db = Db::open(options(Arc::new(mem), "crash-group", &counter))
+            .unwrap_or_else(|e| panic!("budget {budget}: recovery failed: {e}"));
         let (seen, balance_sum, hits_sum, _) = scan_accounts(&db);
         assert_eq!(
             seen, ACCOUNTS as usize,
@@ -390,10 +381,9 @@ fn failed_commit_discards_only_its_own_batch() {
 fn interleaved_txn_failure_leaves_other_txn_intact() {
     let mem = MemStore::new();
     let plan = FaultPlan::unlimited();
-    let mut cfg = DatabaseConfig::without_security();
-    cfg.chunk = chunk_store::ChunkStoreConfig::small_for_tests();
-    cfg.chunk.security = tdb::SecurityMode::Off;
-    let db = make_db(Arc::new(FaultStore::new(mem, plan.clone())), cfg);
+    let db = make_db(Arc::new(FaultStore::new(mem, plan.clone())), |o| {
+        o.chunk_config(chunk_store::ChunkStoreConfig::small_for_tests())
+    });
     const N: u64 = 12;
     create_accounts(&db, N);
 
@@ -446,9 +436,9 @@ fn interleaved_txn_failure_leaves_other_txn_intact() {
 /// merely slow is classified as contention — not deadlock.
 #[test]
 fn slow_holder_timeout_classified_as_contention() {
-    let mut cfg = DatabaseConfig::without_security();
-    cfg.object.lock_timeout = Duration::from_millis(100);
-    let db = make_db(Arc::new(MemStore::new()), cfg);
+    let db = make_db(Arc::new(MemStore::new()), |o| {
+        o.store_options(StoreOptions::new().lock_timeout(Duration::from_millis(100)))
+    });
     create_accounts(&db, 2);
 
     let holding = Barrier::new(2);
@@ -484,9 +474,9 @@ fn slow_holder_timeout_classified_as_contention() {
 /// deadlock (the wait-for graph is walked across lock shards).
 #[test]
 fn crossed_acquisition_timeout_classified_as_deadlock() {
-    let mut cfg = DatabaseConfig::without_security();
-    cfg.object.lock_timeout = Duration::from_millis(150);
-    let db = make_db(Arc::new(MemStore::new()), cfg);
+    let db = make_db(Arc::new(MemStore::new()), |o| {
+        o.store_options(StoreOptions::new().lock_timeout(Duration::from_millis(150)))
+    });
     create_accounts(&db, 2);
 
     let crossed = Barrier::new(2);
@@ -558,8 +548,7 @@ fn transfers_survive_forced_background_cleaning() {
     const THREADS: u64 = 4;
     const TRANSFERS: u64 = 150;
 
-    let mut cfg = DatabaseConfig::without_security();
-    cfg.chunk = ChunkStoreConfig {
+    let chunk = ChunkStoreConfig {
         segment_size: 8 * 1024,
         map_fanout: 8,
         checkpoint_threshold: 16 * 1024,
@@ -572,8 +561,7 @@ fn transfers_survive_forced_background_cleaning() {
         maintenance_slice_chunks: 4,
         ..ChunkStoreConfig::default()
     };
-    cfg.chunk.security = tdb::SecurityMode::Off;
-    let db = make_db(Arc::new(MemStore::new()), cfg);
+    let db = make_db(Arc::new(MemStore::new()), |o| o.chunk_config(chunk));
     create_accounts(&db, ACCOUNTS);
 
     let expected: Vec<(AtomicI64, AtomicI64)> = (0..ACCOUNTS)

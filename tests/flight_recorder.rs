@@ -4,7 +4,7 @@
 //!   background maintenance thread) write a diagnostic dump that names the
 //!   stalled thread, carries its trace timeline, and shows the maintenance
 //!   thread's own last event;
-//! * `Database::diagnostics` must capture registered store state on demand
+//! * `Db::diagnostics` must capture registered store state on demand
 //!   and `diagnostics_to_dir` must persist a parseable dump;
 //! * a looped stall storm on a fixed-size log (growth disabled, watermarks
 //!   tight) must always make progress — the regression test for the lost
@@ -206,7 +206,7 @@ fn injected_commit_stall_produces_diagnostic_dump() {
     obs::trace::set_trace_enabled(false);
 }
 
-/// `Database::diagnostics` captures provider state on demand;
+/// `Db::diagnostics` captures provider state on demand;
 /// `diagnostics_to_dir` writes a dump that parses and carries the same
 /// schema the watchdog uses (so `tdb-doctor` reads both).
 #[test]
@@ -216,13 +216,10 @@ fn manual_diagnostics_capture_store_state() {
     let dir = tempfile::tempdir().unwrap();
     obs::diag::set_diag_dir(Some(dir.path().to_path_buf()));
 
-    let db = tdb::Database::create(
-        Arc::new(MemStore::new()),
-        &MemSecretStore::from_label("diag-test"),
-        Arc::new(VolatileCounter::new()),
-        tdb::ClassRegistry::new(),
-        tdb::ExtractorRegistry::new(),
-        tdb::DatabaseConfig::without_security(),
+    let db = tdb::Db::open(
+        tdb::Options::in_memory()
+            .secret_label("diag-test")
+            .security(SecurityMode::Off),
     )
     .unwrap();
 

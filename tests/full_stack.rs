@@ -5,12 +5,12 @@
 use std::sync::Arc;
 use tdb::platform::{
     DirStore, FaultPlan, FaultStore, FileCounter, FileSecretStore, MemArchive, MemSecretStore,
-    MemStore, VolatileCounter,
+    MemStore, OneWayCounter, SecretStore, UntrustedStore, VolatileCounter,
 };
 use tdb::Durability;
 use tdb::{
-    impl_persistent_boilerplate, ClassRegistry, Database, DatabaseConfig, ExtractorRegistry,
-    IndexKind, IndexSpec, Key, Persistent, PickleError, Pickler, Unpickler,
+    impl_persistent_boilerplate, ClassRegistry, Db, ExtractorRegistry, IndexKind, IndexSpec, Key,
+    Options, Persistent, PickleError, Pickler, Unpickler,
 };
 
 const CLASS_METER: u32 = 0x1234_0001;
@@ -48,6 +48,19 @@ fn registries() -> (ClassRegistry, ExtractorRegistry) {
     (classes, extractors)
 }
 
+/// The meter schema over the given platform substrates.
+fn options(
+    untrusted: Arc<dyn UntrustedStore>,
+    secret: impl SecretStore + 'static,
+    counter: Arc<dyn OneWayCounter>,
+) -> Options {
+    let (classes, extractors) = registries();
+    Options::in_memory()
+        .with_substrates(untrusted, secret, counter)
+        .classes(classes)
+        .extractors(extractors)
+}
+
 fn specs() -> [IndexSpec; 2] {
     [
         IndexSpec::new("by-id", "meter.id", true, IndexKind::Hash),
@@ -55,7 +68,7 @@ fn specs() -> [IndexSpec; 2] {
     ]
 }
 
-fn bump(db: &Database, id: u64, delta: i64) {
+fn bump(db: &Db, id: u64, delta: i64) {
     let t = db.begin();
     let c = t.write_collection("meters").unwrap();
     let mut it = c.exact("by-id", &Key::U64(id)).unwrap();
@@ -68,7 +81,7 @@ fn bump(db: &Database, id: u64, delta: i64) {
     t.commit(Durability::Durable).unwrap();
 }
 
-fn count_of(db: &Database, id: u64) -> i64 {
+fn count_of(db: &Db, id: u64) -> i64 {
     let t = db.begin();
     let c = t.read_collection("meters").unwrap();
     let it = c.exact("by-id", &Key::U64(id)).unwrap();
@@ -84,19 +97,15 @@ fn count_of(db: &Database, id: u64) -> i64 {
 #[test]
 fn full_stack_on_real_files() {
     let dir = tempfile::tempdir().unwrap();
-    let secret = FileSecretStore::open_or_init(dir.path().join("secret"), [9u8; 32]).unwrap();
-    let counter = Arc::new(FileCounter::open(dir.path().join("counter")).unwrap());
-    let (classes, extractors) = registries();
-    {
-        let db = Database::create(
+    let on_disk = || {
+        options(
             Arc::new(DirStore::new(dir.path().join("db")).unwrap()),
-            &secret,
-            counter.clone(),
-            classes,
-            extractors,
-            DatabaseConfig::default(),
+            FileSecretStore::open_or_init(dir.path().join("secret"), [9u8; 32]).unwrap(),
+            Arc::new(FileCounter::open(dir.path().join("counter")).unwrap()),
         )
-        .unwrap();
+    };
+    {
+        let db = Db::open(on_disk()).unwrap();
         let t = db.begin();
         let c = t.create_collection("meters", &specs()).unwrap();
         for id in 0..100 {
@@ -109,18 +118,8 @@ fn full_stack_on_real_files() {
         }
         db.checkpoint().unwrap();
     }
-    // Fresh process: reopen from disk with a fresh FileCounter handle.
-    let counter = Arc::new(FileCounter::open(dir.path().join("counter")).unwrap());
-    let (classes, extractors) = registries();
-    let db = Database::open(
-        Arc::new(DirStore::new(dir.path().join("db")).unwrap()),
-        &secret,
-        counter,
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
-    .unwrap();
+    // Fresh process: reopen from disk with fresh substrate handles.
+    let db = Db::open(on_disk()).unwrap();
     // Rounds 0..10 bumped ids 0..10 once each.
     for id in 0..10 {
         assert_eq!(count_of(&db, id), 1, "meter {id}");
@@ -139,16 +138,12 @@ fn crash_at_every_layer_boundary_preserves_invariants() {
         let counter = VolatileCounter::new();
         let secret = MemSecretStore::from_label("crash-stack");
         let plan = FaultPlan::unlimited();
-        let (classes, extractors) = registries();
         let committed = {
-            let db = Database::create(
+            let db = Db::open(options(
                 Arc::new(FaultStore::new(mem.clone(), plan.clone())),
-                &secret,
+                secret.clone(),
                 Arc::new(counter.clone()),
-                classes,
-                extractors,
-                DatabaseConfig::default(),
-            )
+            ))
             .unwrap();
             let t = db.begin();
             let c = t.create_collection("meters", &specs()).unwrap();
@@ -185,16 +180,7 @@ fn crash_at_every_layer_boundary_preserves_invariants() {
         };
 
         // Recover from the surviving bytes.
-        let (classes, extractors) = registries();
-        let db = Database::open(
-            Arc::new(mem),
-            &secret,
-            Arc::new(counter),
-            classes,
-            extractors,
-            DatabaseConfig::default(),
-        )
-        .unwrap();
+        let db = Db::open(options(Arc::new(mem), secret, Arc::new(counter))).unwrap();
         let t = db.begin();
         let c = t.read_collection("meters").unwrap();
         let mut total = 0i64;
@@ -226,15 +212,11 @@ fn crash_at_every_layer_boundary_preserves_invariants() {
 fn backup_cycle_through_facade() {
     let mem = MemStore::new();
     let secret = MemSecretStore::from_label("backup-stack");
-    let (classes, extractors) = registries();
-    let db = Database::create(
+    let db = Db::open(options(
         Arc::new(mem),
-        &secret,
+        secret.clone(),
         Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
+    ))
     .unwrap();
     let t = db.begin();
     let c = t.create_collection("meters", &specs()).unwrap();
@@ -256,15 +238,13 @@ fn backup_cycle_through_facade() {
     bump(&db, 8, 100);
     mgr.backup_incremental(db.chunk_store()).unwrap();
 
-    let (classes, extractors) = registries();
-    let restored = Database::restore_latest_from(
+    let restored = Db::restore_latest_from(
         &*archive,
-        Arc::new(MemStore::new()),
-        &secret,
-        Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
+        options(
+            Arc::new(MemStore::new()),
+            secret,
+            Arc::new(VolatileCounter::new()),
+        ),
     )
     .unwrap();
     assert_eq!(count_of(&restored, 7), 107);
@@ -293,16 +273,11 @@ fn mixed_object_and_collection_access() {
     // roots registered through CTransaction, typed objects navigated via
     // the object store, collections on top — all atomically.
     let mem = MemStore::new();
-    let secret = MemSecretStore::from_label("mixed");
-    let (classes, extractors) = registries();
-    let db = Database::create(
+    let db = Db::open(options(
         Arc::new(mem),
-        &secret,
+        MemSecretStore::from_label("mixed"),
         Arc::new(VolatileCounter::new()),
-        classes,
-        extractors,
-        DatabaseConfig::default(),
-    )
+    ))
     .unwrap();
 
     // Collection + a root pointing at a distinguished meter.

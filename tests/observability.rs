@@ -152,6 +152,50 @@ fn commit_phase_lap_counts_match_across_interleaved_checkpoints() {
     assert_eq!(group_sum, commits, "groups must cover each commit once");
 }
 
+/// A sampled durable commit that another anchor round made durable — a
+/// later commit's leader round, or a checkpoint's — records no
+/// `commit.anchor` lap of its own and is counted in
+/// `chunk.sampled_commits_covered` instead, so anchor laps plus covered
+/// commits equal the sampled commits exactly (the fig10 CI check, which
+/// once failed 374 vs 375 on a checkpoint-covered commit).
+#[test]
+fn commits_covered_by_another_round_square_the_anchor_laps() {
+    obs::set_enabled(true);
+    obs::set_phase_sample_every(1);
+    let st = store(ChunkStoreConfig {
+        security: SecurityMode::Full,
+        checkpoint_threshold: u64::MAX / 2,
+        background_maintenance: false,
+        ..Default::default()
+    });
+    let append = |fill: u8| {
+        let mut batch = st.begin_batch();
+        let id = batch.allocate_chunk_id().unwrap();
+        batch.write(id, &[fill; 256]).unwrap();
+        st.append_batch(batch, Durability::Durable).unwrap()
+    };
+    let base = st.obs_snapshot();
+    // Covered by a checkpoint's anchor round.
+    let first = append(1);
+    st.checkpoint().unwrap();
+    st.wait_durable(first).unwrap();
+    // Covered by the next commit's leader round.
+    let second = append(2);
+    let third = append(3);
+    st.wait_durable(third).unwrap();
+    st.wait_durable(second).unwrap();
+
+    let snap = st.obs_snapshot().since(&base);
+    let count = |name: &str| snap.histograms.get(name).map(|h| h.count()).unwrap_or(0);
+    assert_eq!(count("commit.serialize"), 3);
+    assert_eq!(
+        count("commit.anchor"),
+        1,
+        "only the third commit led a round"
+    );
+    assert_eq!(snap.counter("chunk.sampled_commits_covered"), 2);
+}
+
 /// Registry counter deltas count exactly the operations run between the
 /// two snapshots: 7 commits, 4 of them durable, and 1 checkpoint, on top of
 /// warm-up traffic that makes every base nonzero.
@@ -258,10 +302,7 @@ fn overhead_guard_instrumentation_under_two_percent() {
     };
     let run = |enabled: bool| {
         obs::set_enabled(enabled);
-        let mut driver = TdbDriver::new(
-            Arc::new(MemStore::new()),
-            tdb::DatabaseConfig::without_security(),
-        );
+        let mut driver = TdbDriver::new(tdb::Options::in_memory().security(SecurityMode::Off));
         // Warm-up run then measured run, interleaved per mode to share any
         // machine-wide drift.
         let report = run_benchmark(&mut driver, &cfg);
@@ -340,10 +381,7 @@ fn tracing_overhead_guard_under_two_percent() {
         threads: 1,
     };
     let before = rec.recorded();
-    let mut driver = TdbDriver::new(
-        Arc::new(MemStore::new()),
-        tdb::DatabaseConfig::without_security(),
-    );
+    let mut driver = TdbDriver::new(tdb::Options::in_memory().security(SecurityMode::Off));
     let report = run_benchmark(&mut driver, &cfg);
     let events_per_txn = (rec.recorded() - before) as f64 / report.transactions as f64;
     let ns_per_txn = report.run_seconds * 1e9 / report.transactions as f64;

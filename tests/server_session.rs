@@ -192,16 +192,13 @@ fn sharded_backup_gating_is_identical_through_both_backends() {
     let rem_restore = expect_err(remote.restore_latest(), "remote restore");
 
     // The offline restore has no wire form; it goes through the same gate.
-    let mut cfg = tdb::DatabaseConfig::default();
-    cfg.chunk.shards = 2;
-    let from = match tdb::Database::restore_latest_from(
+    let from = match Db::restore_latest_from(
         &*archive,
-        Arc::new(tdb::platform::MemStore::new()),
-        &*secret,
-        Arc::new(tdb::platform::VolatileCounter::new()),
-        classes(),
-        extractors(),
-        cfg,
+        Options::in_memory()
+            .secret_label("parity-backup")
+            .classes(classes())
+            .extractors(extractors())
+            .shards(2),
     ) {
         Err(e) => Error::from(e),
         Ok(_) => panic!("restore_latest_from must refuse two shards"),

@@ -137,7 +137,7 @@ fn cross_shard_transfers_conserve_money_under_cleaning() {
                 match moved {
                     Ok(true) => {
                         let durability = Durability::from(done.is_multiple_of(2));
-                        match t.commit(durability) {
+                        match t.commit(durability).map_err(tdb::Error::from) {
                             Ok(()) => done += 1,
                             // Conflict aborts are expected; anything else
                             // (e.g. a torn cross-shard commit surfacing as
