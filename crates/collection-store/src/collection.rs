@@ -245,7 +245,10 @@ impl<'t> Collection<'t> {
 
     /// Insert an object into the collection (paper Fig. 6: `insert`).
     /// The object is stored in the object store and entered into every
-    /// index; uniqueness violations reject the insert atomically.
+    /// index; uniqueness violations reject the insert atomically. The
+    /// member leaves the object cache when the transaction commits (its
+    /// index nodes stay): a record written once, like a transfer's history
+    /// entry, would otherwise hold cache and memory nobody reads.
     pub fn insert(&self, object: Box<dyn Persistent>) -> Result<ObjectId> {
         self.require_writable()?;
         let metas = load_metas(self.ct, self.oid)?;
@@ -268,7 +271,7 @@ impl<'t> Collection<'t> {
                 });
             }
         }
-        let oid = self.ct.txn.insert(object)?;
+        let oid = self.ct.txn.insert_uncached(object)?;
         for (meta, key) in metas.iter().zip(keys) {
             if let Some(new_root) = idx_insert(self.ct, meta.spec.kind, meta.root, key, oid)? {
                 update_root(self.ct, self.oid, &meta.spec.name, new_root)?;

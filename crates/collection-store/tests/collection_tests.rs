@@ -745,3 +745,51 @@ fn large_collection_stress_all_kinds() {
     assert_eq!(r.result_len(), 100);
     r.close().unwrap();
 }
+
+/// Cache admission: a member a transaction inserted leaves the object
+/// cache when the transaction commits, while the index nodes the insert
+/// touched stay resident (snapshot readers never refill them); a later
+/// read reloads the member.
+#[test]
+fn committed_members_leave_the_cache_and_their_index_nodes_stay() {
+    let fx = Fixture::new();
+    let store = fx.create();
+    let os = store.object_store();
+    let t = store.begin();
+    t.create_collection("profile", &[id_indexer(), usage_indexer()])
+        .unwrap();
+    t.commit(Durability::Durable).unwrap();
+
+    let t = store.begin();
+    let oid = t
+        .write_collection("profile")
+        .unwrap()
+        .insert(meter(1, 10, 5))
+        .unwrap();
+    assert!(
+        os.debug_is_cached(oid),
+        "uncommitted member must stay pinned"
+    );
+    t.commit(Durability::Durable).unwrap();
+    assert!(!os.debug_is_cached(oid), "committed member still resident");
+
+    let misses = || os.cache_stats().misses;
+    let before = misses();
+    let t = store.begin();
+    {
+        let profile = t.write_collection("profile").unwrap();
+        assert_eq!(profile.lookup_ids("by-id", &Key::I64(1)).unwrap(), [oid]);
+        assert_eq!(
+            profile.lookup_ids("by-usage", &Key::I64(15)).unwrap(),
+            [oid]
+        );
+        assert_eq!(misses(), before, "an index node left the cache");
+        profile.read_object_bytes(oid).unwrap();
+        assert_eq!(misses(), before + 1, "the read must reload the member");
+    }
+    t.commit(Durability::Lazy).unwrap();
+    assert!(
+        os.debug_is_cached(oid),
+        "a member that was read stays cached"
+    );
+}

@@ -40,6 +40,9 @@ pub(crate) struct TxnSets {
     pub written: BTreeMap<u64, Arc<ObjectCell>>,
     /// Ids allocated by this transaction (returned to the pool on abort).
     pub inserted: Vec<ObjectId>,
+    /// Inserted objects to drop from the cache once committed
+    /// ([`Transaction::insert_uncached`]).
+    pub uncached: Vec<ObjectId>,
     /// Objects removed (deallocated at commit).
     pub removed: BTreeSet<u64>,
     /// Ids read (diagnostic; locking dedup is handled by the lock table).
@@ -128,6 +131,17 @@ impl Transaction {
         let mut sets = self.core.sets.lock();
         sets.written.insert(oid.0, cell);
         sets.inserted.push(oid);
+        Ok(oid)
+    }
+
+    /// [`Transaction::insert`] for an object nobody is expected to read
+    /// soon: it is dropped from the cache as soon as the transaction
+    /// commits, so it does not displace resident objects (cache admission:
+    /// an object is kept for its readers, not for its writer). A later
+    /// read loads it from the chunk store like any evicted object.
+    pub fn insert_uncached(&self, object: Box<dyn Persistent>) -> Result<ObjectId> {
+        let oid = self.insert(object)?;
+        self.core.sets.lock().uncached.push(oid);
         Ok(oid)
     }
 
@@ -381,6 +395,9 @@ impl Transaction {
         }
         for oid in &sets.removed {
             self.store.evict_cell(ChunkId(*oid));
+        }
+        for oid in &sets.uncached {
+            self.store.evict_cell(*oid);
         }
         for (oid, size) in sizes {
             self.store.update_cell_size(oid, size);

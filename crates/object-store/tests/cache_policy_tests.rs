@@ -428,3 +428,36 @@ fn cache_charges_resident_bytes_and_books_balance() {
         "{stats:?}"
     );
 }
+
+/// Cache admission: an object inserted with `insert_uncached` is pinned
+/// while its transaction runs, leaves the cache at commit — the byte
+/// gauge is back at its pre-insert value — and a later read reloads it.
+#[test]
+fn uncached_inserts_leave_the_cache_at_commit() {
+    let os = store_with(ObjectStoreConfig::default());
+    let bytes_gauge = |os: &ObjectStore| os.chunk_store().obs_snapshot().gauges["cache.bytes"];
+    let before = bytes_gauge(&os);
+
+    let t = os.begin();
+    let id = t
+        .insert_uncached(Box::new(Blob {
+            tag: 7,
+            data: vec![7; 300],
+        }))
+        .unwrap();
+    assert!(os.debug_is_cached(id), "an uncommitted insert stays pinned");
+    assert!(bytes_gauge(&os) > before);
+    t.commit(Durability::Durable).unwrap();
+    assert!(
+        !os.debug_is_cached(id),
+        "committed uncached insert resident"
+    );
+    assert_eq!(bytes_gauge(&os), before);
+
+    let misses = os.cache_stats().misses;
+    let t = os.begin();
+    assert_eq!(t.open_readonly::<Blob>(id).unwrap().get().tag, 7);
+    t.commit(Durability::Lazy).unwrap();
+    assert_eq!(os.cache_stats().misses, misses + 1, "the read reloads it");
+    assert!(os.debug_is_cached(id));
+}

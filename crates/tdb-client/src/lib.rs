@@ -5,11 +5,43 @@
 //! code written against `dyn Session` — the examples, the TPC-B driver —
 //! runs against a server unmodified.
 //!
-//! One connection is one session is one conversation: a single request in
-//! flight, at most one open read-write and one open read-only transaction.
-//! Concurrency comes from [`Session::fork`], which opens a new connection
-//! under the same tenant. Errors arrive as the structured
-//! `(ErrorKind, message)` pair, so [`tdb::Error::is_retryable`] works
+//! One connection is one session is one conversation: at most one open
+//! read-write and one open read-only transaction, and replies in request
+//! order. Concurrency comes from [`Session::fork`], which opens a new
+//! connection under the same tenant.
+//!
+//! # Pipelining
+//!
+//! A call whose only reply is `Ok` and that a later call of the same
+//! transaction is certain to follow — `begin`, `begin_read`,
+//! `begin_read_proven`, `ensure_collection`, `write_back` — is not sent on
+//! its own. It returns `Ok` at once and its request is queued; the next
+//! call sends the queued requests and its own in one write and reads
+//! their replies first. That call returns the first queued call's error,
+//! if any, instead of its own result. So a remote backend may report a
+//! failed `write_back` from a later call of the same transaction:
+//!
+//! * `commit` is never sent behind an unanswered request. With requests
+//!   queued it first sends them alone and reads their replies; if one
+//!   failed it aborts the transaction and returns that error, so a
+//!   transaction with a failed queued call never commits.
+//! * `abort` reports the abort's own outcome: a queued call's error is
+//!   moot once the transaction is rolled back, as it is embedded.
+//! * The queue is sent before it would pass 64 KiB of request bytes, so a
+//!   long `write_back` loop never fills both socket buffers.
+//! * A second `begin` (or `begin_read`) while a handle of the same kind
+//!   is out fails at once, locally, so no call can run in another
+//!   transaction than its caller's.
+//! * Queued errors go to the next call on the connection, whichever
+//!   thread makes it; give each thread its own connection
+//!   ([`Session::fork`]).
+//!
+//! A TPC-B transfer (`begin`, three × `lookup_ids` → `get_for_update` →
+//! `write_back`, `insert`, `commit`) thus costs 8 round trips for its 12
+//! requests.
+//!
+//! Errors arrive as the structured `(ErrorKind, message)` pair, so
+//! [`tdb::Error::is_retryable`] works
 //! exactly as it does embedded; proofs arrive as `tdb-proof` wire bytes
 //! and verify against a wire-decoded trust anchor with no server types.
 
@@ -17,8 +49,10 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -27,22 +61,84 @@ use tdb::{
     ClassRegistry, Durability, Error, ErrorKind, IndexSpec, Key, ObjectId, Session, SessionRead,
     SessionTxn,
 };
-use tdb_wire::{read_frame, write_frame, Hello, Request, Response, PROTOCOL_VERSION};
+use tdb_wire::{append_frame, read_frame, write_frame, Hello, Request, Response, PROTOCOL_VERSION};
+
+/// Queued request bytes are sent before they would pass this. The replies
+/// to queued calls are small `Ok` frames no longer than the requests, so
+/// this also bounds what the server writes while the client is still
+/// writing: well inside the socket buffers of both ends.
+const QUEUE_LIMIT: usize = 64 * 1024;
 
 fn io_err(e: impl std::fmt::Display) -> Error {
     Error::new(ErrorKind::Io, e.to_string())
 }
 
 struct Conn {
-    stream: TcpStream,
+    /// The socket, read through a buffer; writes go to `get_ref()`.
+    reader: BufReader<TcpStream>,
+    /// Frames of queued calls, not sent yet.
+    queued: Vec<u8>,
+    /// How many frames `queued` holds.
+    owed: usize,
     /// Set when a wire-level failure poisons the conversation: request and
     /// response framing can no longer be trusted to line up.
     broken: bool,
 }
 
+impl Conn {
+    /// Send the queued frames and `req`'s, if any, in one write.
+    fn send(&mut self, req: Option<&Request>) -> tdb_wire::Result<()> {
+        if let Some(req) = req {
+            append_frame(&mut self.queued, &req.encode())?;
+        }
+        self.reader.get_ref().write_all(&self.queued)?;
+        self.queued.clear();
+        self.queued.shrink_to(QUEUE_LIMIT);
+        Ok(())
+    }
+
+    /// Read the replies owed to sent queued calls: the first one's error,
+    /// if any.
+    fn collect_queued(&mut self) -> tdb_wire::Result<Option<Error>> {
+        let mut first_err = None;
+        for _ in 0..std::mem::take(&mut self.owed) {
+            let reply = Response::decode(&read_frame(&mut self.reader)?)?;
+            if first_err.is_none() && reply != Response::Ok {
+                first_err = Some(reply.into_error());
+            }
+        }
+        Ok(first_err)
+    }
+
+    /// Send the queued calls alone, if there are any, and read their
+    /// replies.
+    fn flush_queue(&mut self) -> tdb_wire::Result<Option<Error>> {
+        if self.owed == 0 {
+            return Ok(None);
+        }
+        self.send(None)?;
+        self.collect_queued()
+    }
+
+    /// One round trip for `req`, carrying the queued calls ahead of it:
+    /// the first queued call's error, if any, and `req`'s reply.
+    fn round_trip(&mut self, req: &Request) -> tdb_wire::Result<(Option<Error>, Response)> {
+        self.send(Some(req))?;
+        let queued_err = self.collect_queued()?;
+        let reply = Response::decode(&read_frame(&mut self.reader)?)?;
+        Ok((queued_err, reply))
+    }
+}
+
 /// A connection to a `tdb-server`, usable as a [`tdb::Session`].
 pub struct RemoteDb {
     conn: Mutex<Conn>,
+    /// A read-write / read-only transaction handle is out. The server
+    /// holds one of each per connection; checking here means a second
+    /// `begin` fails at once instead of queuing a request whose failure
+    /// would surface only after later calls ran in the first transaction.
+    txn_open: AtomicBool,
+    read_open: AtomicBool,
     addr: String,
     tenant: String,
     classes: Arc<ClassRegistry>,
@@ -68,15 +164,17 @@ impl RemoteDb {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).ok();
         let mut conn = Conn {
-            stream,
+            reader: BufReader::new(stream),
+            queued: Vec::new(),
+            owed: 0,
             broken: false,
         };
         let hello = Hello {
             version: PROTOCOL_VERSION,
             tenant: tenant.to_string(),
         };
-        write_frame(&mut conn.stream, &hello.encode()).map_err(Error::from)?;
-        let reply = read_frame(&mut conn.stream).map_err(Error::from)?;
+        write_frame(&mut conn.reader.get_ref(), &hello.encode()).map_err(Error::from)?;
+        let reply = read_frame(&mut conn.reader).map_err(Error::from)?;
         let session_id = match Response::decode(&reply).map_err(Error::from)? {
             Response::Welcome { version, session } => {
                 if version != PROTOCOL_VERSION {
@@ -91,6 +189,8 @@ impl RemoteDb {
         };
         Ok(RemoteDb {
             conn: Mutex::new(conn),
+            txn_open: AtomicBool::new(false),
+            read_open: AtomicBool::new(false),
             addr: addr.to_string(),
             tenant: tenant.to_string(),
             classes,
@@ -110,13 +210,14 @@ impl RemoteDb {
         self.conn
             .lock()
             .expect("connection lock poisoned")
-            .stream
+            .reader
+            .get_ref()
             .set_read_timeout(dur)
             .map_err(io_err)
     }
 
-    /// One request/response round trip.
-    fn call(&self, req: &Request) -> SResult<Response> {
+    /// Run `f` on the connection. A wire failure poisons it for good.
+    fn with_conn<T>(&self, f: impl FnOnce(&mut Conn) -> tdb_wire::Result<T>) -> SResult<T> {
         let mut conn = self.conn.lock().expect("connection lock poisoned");
         if conn.broken {
             return Err(Error::new(
@@ -124,18 +225,23 @@ impl RemoteDb {
                 "connection poisoned by an earlier wire failure",
             ));
         }
-        let round_trip = (|| -> tdb_wire::Result<Response> {
-            write_frame(&mut conn.stream, &req.encode())?;
-            let reply = read_frame(&mut conn.stream)?;
-            Response::decode(&reply)
-        })();
-        match round_trip {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                conn.broken = true;
-                Err(Error::from(e))
-            }
-        }
+        f(&mut conn).map_err(|e| {
+            conn.broken = true;
+            Error::from(e)
+        })
+    }
+
+    /// Send the queued calls, if any, and read their replies: the first
+    /// one's error, if any.
+    fn flush_queue(&self) -> SResult<()> {
+        self.with_conn(Conn::flush_queue)?.map_or(Ok(()), Err)
+    }
+
+    /// One round trip for `req`, carrying any queued calls ahead of it. A
+    /// queued call's error takes the place of `req`'s reply.
+    fn call(&self, req: &Request) -> SResult<Response> {
+        let (queued_err, reply) = self.with_conn(|conn| conn.round_trip(req))?;
+        queued_err.map_or(Ok(reply), Err)
     }
 
     /// A call that expects the unit `Ok` response.
@@ -145,11 +251,58 @@ impl RemoteDb {
             other => Err(other.into_error()),
         }
     }
+
+    /// Queue a call whose only reply is `Ok`; the next call sends it (see
+    /// the crate docs). The queued calls go out first if this one would
+    /// take them past [`QUEUE_LIMIT`]; then an error of theirs is this
+    /// call's, and it is not queued.
+    fn queue(&self, req: &Request) -> SResult<()> {
+        let payload = req.encode();
+        self.with_conn(|conn| {
+            if conn.queued.len() + 4 + payload.len() > QUEUE_LIMIT {
+                if let Some(e) = conn.flush_queue()? {
+                    return Ok(Err(e));
+                }
+            }
+            append_frame(&mut conn.queued, &payload)?;
+            conn.owed += 1;
+            Ok(Ok(()))
+        })?
+    }
+}
+
+/// Take a transaction slot, or fail as the server would if it is taken.
+fn claim(slot: &AtomicBool, what: &str) -> SResult<()> {
+    if slot.swap(true, Ordering::AcqRel) {
+        return Err(Error::new(
+            ErrorKind::Usage,
+            format!("{what} is already open on this session"),
+        ));
+    }
+    Ok(())
+}
+
+impl RemoteDb {
+    fn begin_read_with(&self, req: Request) -> SResult<Box<dyn SessionRead + '_>> {
+        claim(&self.read_open, "a read transaction")?;
+        if let Err(e) = self.queue(&req) {
+            self.read_open.store(false, Ordering::Release);
+            return Err(e);
+        }
+        Ok(Box::new(RemoteRead {
+            db: self,
+            finished: Cell::new(false),
+        }))
+    }
 }
 
 impl Session for RemoteDb {
     fn begin(&self) -> SResult<Box<dyn SessionTxn + '_>> {
-        self.call_ok(&Request::Begin)?;
+        claim(&self.txn_open, "a read-write transaction")?;
+        if let Err(e) = self.queue(&Request::Begin) {
+            self.txn_open.store(false, Ordering::Release);
+            return Err(e);
+        }
         Ok(Box::new(RemoteTxn {
             db: self,
             finished: Cell::new(false),
@@ -157,19 +310,11 @@ impl Session for RemoteDb {
     }
 
     fn begin_read(&self) -> SResult<Box<dyn SessionRead + '_>> {
-        self.call_ok(&Request::BeginRead)?;
-        Ok(Box::new(RemoteRead {
-            db: self,
-            finished: Cell::new(false),
-        }))
+        self.begin_read_with(Request::BeginRead)
     }
 
     fn begin_read_proven(&self) -> SResult<Box<dyn SessionRead + '_>> {
-        self.call_ok(&Request::BeginReadProven)?;
-        Ok(Box::new(RemoteRead {
-            db: self,
-            finished: Cell::new(false),
-        }))
+        self.begin_read_with(Request::BeginReadProven)
     }
 
     fn fork(&self) -> SResult<Box<dyn Session>> {
@@ -227,7 +372,8 @@ impl Session for RemoteDb {
 
 /// The connection's read-write transaction. Dropping without commit/abort
 /// sends a best-effort abort so server-side 2PL locks release promptly
-/// (the server's idle reaper is the backstop).
+/// (the server's idle reaper is the backstop); that abort also carries
+/// any queued requests, so none is left behind.
 struct RemoteTxn<'a> {
     db: &'a RemoteDb,
     finished: Cell<bool>,
@@ -235,7 +381,7 @@ struct RemoteTxn<'a> {
 
 impl SessionTxn for RemoteTxn<'_> {
     fn ensure_collection(&self, coll: &str, specs: &[IndexSpec]) -> SResult<()> {
-        self.db.call_ok(&Request::EnsureCollection {
+        self.db.queue(&Request::EnsureCollection {
             coll: coll.to_string(),
             specs: specs.to_vec(),
         })
@@ -283,7 +429,7 @@ impl SessionTxn for RemoteTxn<'_> {
     }
 
     fn write_back(&self, coll: &str, oid: ObjectId, bytes: &[u8]) -> SResult<()> {
-        self.db.call_ok(&Request::WriteBack {
+        self.db.queue(&Request::WriteBack {
             coll: coll.to_string(),
             oid,
             bytes: bytes.to_vec(),
@@ -292,12 +438,27 @@ impl SessionTxn for RemoteTxn<'_> {
 
     fn commit(self: Box<Self>, durability: Durability) -> SResult<()> {
         self.finished.set(true);
+        // Never commit behind an unanswered request: if a queued call
+        // failed, the transaction must not commit without it.
+        if let Err(e) = self.db.flush_queue() {
+            let _ = self.db.call(&Request::Abort);
+            return Err(e);
+        }
         self.db.call_ok(&Request::Commit(durability))
     }
 
     fn abort(self: Box<Self>) -> SResult<()> {
         self.finished.set(true);
-        self.db.call_ok(&Request::Abort)
+        // A queued call's error is moot once the transaction is aborted:
+        // report the abort's own reply, as the embedded backend does.
+        match self
+            .db
+            .with_conn(|conn| conn.round_trip(&Request::Abort))?
+            .1
+        {
+            Response::Ok => Ok(()),
+            other => Err(other.into_error()),
+        }
     }
 }
 
@@ -306,6 +467,7 @@ impl Drop for RemoteTxn<'_> {
         if !self.finished.get() {
             let _ = self.db.call(&Request::Abort);
         }
+        self.db.txn_open.store(false, Ordering::Release);
     }
 }
 
@@ -422,5 +584,6 @@ impl Drop for RemoteRead<'_> {
         if !self.finished.get() {
             let _ = self.db.call(&Request::FinishRead);
         }
+        self.db.read_open.store(false, Ordering::Release);
     }
 }

@@ -3,11 +3,16 @@
 //!
 //! Each accepted connection becomes a session: a dedicated thread that
 //! forks its own [`tdb::Session`] handle off the shared
-//! [`EmbeddedSession`] and runs a one-request/one-response loop over
-//! `tdb-wire` frames. Concurrent sessions' commits meet in the chunk
-//! store's leader/follower group commit, so the server inherits the
-//! commit batching the embedded engine already has — no extra queueing
-//! layer.
+//! [`EmbeddedSession`] and answers `tdb-wire` request frames one by one,
+//! in order. Requests are read through a buffered reader and replies
+//! written through a buffered writer that is flushed only once no further
+//! request is already buffered, so the replies to requests a pipelining
+//! client sent together leave in one write (`server.reply_flushes` counts
+//! those writes: one per round trip).
+//!
+//! Concurrent sessions' commits meet in the chunk store's leader/follower
+//! group commit, so the server inherits the commit batching the embedded
+//! engine already has — no extra queueing layer.
 //!
 //! Operational guardrails:
 //!
@@ -32,7 +37,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::ErrorKind as IoKind;
+use std::io::{BufReader, BufWriter, ErrorKind as IoKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,7 +48,8 @@ use tdb::obs::{Counter, Gauge};
 use tdb::session::{EmbeddedSession, SResult};
 use tdb::{Error, ErrorKind, Session, SessionRead, SessionTxn};
 use tdb_wire::{
-    read_frame, write_frame, Hello, Request, Response, WireError, MAX_FRAME, PROTOCOL_VERSION,
+    append_frame, read_frame, write_frame, Hello, Request, Response, WireError, MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 
 /// Server tuning knobs.
@@ -87,6 +93,7 @@ struct ServerObs {
     requests: Counter,
     request_bytes: Counter,
     response_bytes: Counter,
+    reply_flushes: Counter,
     errors: Counter,
     idle_reaped: Counter,
     disconnects_mid_txn: Counter,
@@ -103,6 +110,7 @@ impl ServerObs {
             requests: reg.counter("server.requests"),
             request_bytes: reg.counter("server.request_bytes"),
             response_bytes: reg.counter("server.response_bytes"),
+            reply_flushes: reg.counter("server.reply_flushes"),
             errors: reg.counter("server.errors"),
             idle_reaped: reg.counter("server.idle_reaped"),
             disconnects_mid_txn: reg.counter("server.disconnects_mid_txn"),
@@ -347,11 +355,13 @@ fn release_quota(inner: &ServerInner, tenant: &str, len: u64) {
     }
 }
 
-fn serve_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
+fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
     stream.set_nodelay(true).ok();
+    let mut reader = BufReader::new(&stream);
+    let mut writer = BufWriter::new(&stream);
 
     // Handshake: one Hello frame before anything else.
-    let hello = match read_frame(&mut stream).and_then(|f| Hello::decode(&f)) {
+    let hello = match read_frame(&mut reader).and_then(|f| Hello::decode(&f)) {
         Ok(h) => h,
         Err(_) => {
             // Mid-handshake disconnect or garbage: nothing registered yet,
@@ -368,7 +378,7 @@ fn serve_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
                 hello.version
             ),
         };
-        let _ = write_frame(&mut stream, &resp.encode());
+        let _ = write_frame(&mut writer, &resp.encode());
         return;
     }
     if inner.draining.load(Ordering::SeqCst) {
@@ -376,12 +386,12 @@ fn serve_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
             kind: ErrorKind::Usage,
             message: "server is shutting down".to_string(),
         };
-        let _ = write_frame(&mut stream, &resp.encode());
+        let _ = write_frame(&mut writer, &resp.encode());
         return;
     }
     if let Err(e) = admit(inner, &hello.tenant) {
         inner.obs.admission_rejections.add(1);
-        let _ = write_frame(&mut stream, &Response::from_error(&e).encode());
+        let _ = write_frame(&mut writer, &Response::from_error(&e).encode());
         return;
     }
 
@@ -404,13 +414,22 @@ fn serve_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
         version: PROTOCOL_VERSION,
         session: session_id,
     };
-    if write_frame(&mut stream, &welcome.encode()).is_ok() {
+    if write_frame(&mut writer, &welcome.encode()).is_ok() {
         match inner.session.fork() {
             Ok(session) => {
-                request_loop(inner, &mut stream, &*session, &hello.tenant, &last_activity);
+                let mut conn = Conn {
+                    reader,
+                    writer,
+                    frame: Vec::new(),
+                };
+                request_loop(inner, &mut conn, &*session, &hello.tenant, &last_activity);
+                // Whatever way the loop ended, replies it answered go out.
+                if !conn.writer.buffer().is_empty() {
+                    let _ = conn.flush(inner);
+                }
             }
             Err(e) => {
-                let _ = write_frame(&mut stream, &Response::from_error(&e).encode());
+                let _ = write_frame(&mut writer, &Response::from_error(&e).encode());
             }
         }
     }
@@ -435,9 +454,37 @@ fn serve_conn(inner: &Arc<ServerInner>, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
+/// One admitted connection's buffered ends.
+struct Conn<'a> {
+    reader: BufReader<&'a TcpStream>,
+    writer: BufWriter<&'a TcpStream>,
+    /// Scratch for the reply frame being queued.
+    frame: Vec<u8>,
+}
+
+impl Conn<'_> {
+    /// Queue one reply frame behind the replies not yet flushed. The frame
+    /// is assembled first so it enters the writer whole: one reply never
+    /// straddles two writes unless it outgrows the writer's buffer.
+    fn queue_reply(&mut self, payload: &[u8]) -> tdb_wire::Result<()> {
+        self.frame.clear();
+        append_frame(&mut self.frame, payload)?;
+        self.writer.write_all(&self.frame)?;
+        self.frame.shrink_to(self.writer.capacity());
+        Ok(())
+    }
+
+    /// Send the replies not sent yet: the end of one round trip. (A reply
+    /// larger than the writer's buffer has already gone out whole.)
+    fn flush(&mut self, inner: &ServerInner) -> std::io::Result<()> {
+        inner.obs.reply_flushes.add(1);
+        self.writer.flush()
+    }
+}
+
 fn request_loop(
     inner: &ServerInner,
-    stream: &mut TcpStream,
+    conn: &mut Conn<'_>,
     session: &dyn Session,
     tenant: &str,
     last_activity: &AtomicU64,
@@ -449,16 +496,17 @@ fn request_loop(
     let mut read: Option<Box<dyn SessionRead + '_>> = None;
 
     loop {
-        let frame = match read_frame(stream) {
+        let frame = match read_frame(&mut conn.reader) {
             Ok(f) => f,
             Err(WireError::FrameTooLarge(n)) => {
                 // We have not consumed the oversized payload, so the
                 // stream cannot be resynchronised: answer and hang up.
+                // Replies to the requests before it go out first.
                 let resp = Response::Err {
                     kind: ErrorKind::Codec,
                     message: format!("frame length {n} exceeds the {MAX_FRAME}-byte cap"),
                 };
-                let _ = write_frame(stream, &resp.encode());
+                let _ = conn.queue_reply(&resp.encode());
                 inner.obs.errors.add(1);
                 break;
             }
@@ -493,7 +541,16 @@ fn request_loop(
         }
         let encoded = response.encode();
         inner.obs.response_bytes.add(encoded.len() as u64);
-        if write_frame(stream, &encoded).is_err() {
+        // A request already buffered behind this one was sent with it:
+        // answer that too before writing, so the client gets all its
+        // replies in one segment.
+        let sent = conn.queue_reply(&encoded).and_then(|()| {
+            if conn.reader.buffer().is_empty() {
+                conn.flush(inner)?;
+            }
+            Ok(())
+        });
+        if sent.is_err() {
             if txn.is_some() {
                 inner.obs.disconnects_mid_txn.add(1);
             }

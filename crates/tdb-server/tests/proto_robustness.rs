@@ -17,7 +17,7 @@ use tdb::{
 };
 use tdb_client::RemoteDb;
 use tdb_server::{Server, ServerConfig};
-use tdb_wire::{read_frame, write_frame, Hello, Request, Response, PROTOCOL_VERSION};
+use tdb_wire::{append_frame, read_frame, write_frame, Hello, Request, Response, PROTOCOL_VERSION};
 use tpcb::TpcbRecord;
 
 fn classes() -> ClassRegistry {
@@ -142,6 +142,34 @@ fn oversized_length_prefix_is_refused_with_an_error() {
     // The connection is dead afterwards (unsyncable stream)...
     assert!(read_frame(&mut raw.stream).is_err());
     // ...but the server is not.
+    assert_still_serving(&addr);
+    server.shutdown();
+}
+
+#[test]
+fn an_oversized_frame_behind_pipelined_requests_is_answered_after_them() {
+    let (server, addr) = start_server(ServerConfig::default());
+    let mut raw = RawClient::connect(&addr, "hostile");
+    // Two well-formed requests and then an oversized length prefix, all in
+    // one write: the replies to the two are buffered when the bad prefix
+    // is read, and must still go out — first, and before the hang-up.
+    let mut batch = Vec::new();
+    append_frame(&mut batch, &Request::Begin.encode()).unwrap();
+    append_frame(&mut batch, &Request::Ping.encode()).unwrap();
+    batch.extend_from_slice(&u32::MAX.to_le_bytes());
+    raw.stream.write_all(&batch).unwrap();
+    for what in ["begin", "ping"] {
+        let reply = Response::decode(&read_frame(&mut raw.stream).unwrap()).unwrap();
+        assert_eq!(reply, Response::Ok, "reply to {what}");
+    }
+    match Response::decode(&read_frame(&mut raw.stream).unwrap()).unwrap() {
+        Response::Err { kind, message } => {
+            assert_eq!(kind, ErrorKind::Codec);
+            assert!(message.contains("exceeds"), "unexpected message: {message}");
+        }
+        other => panic!("expected a Codec error, got {other:?}"),
+    }
+    assert!(read_frame(&mut raw.stream).is_err());
     assert_still_serving(&addr);
     server.shutdown();
 }

@@ -11,7 +11,12 @@
 //!
 //! The first frame of a connection is the client [`Hello`]; every frame
 //! after that is one [`Request`], answered by exactly one [`Response`]
-//! frame. Payloads are encoded with the object store's pickle primitives
+//! frame, in order. A client may send several requests before reading
+//! their replies (see `tdb-client`'s pipelining contract); the server
+//! answers them in order and sends the replies to requests that arrived
+//! together in one write.
+//!
+//! Payloads are encoded with the object store's pickle primitives
 //! ([`Pickler`] / [`Unpickler`]) — the same order-stable, versionless
 //! format objects themselves use — with explicit tags for enums so
 //! additions stay backward-detectable.
@@ -103,21 +108,36 @@ pub type Result<T> = std::result::Result<T, WireError>;
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame (length prefix + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+/// Append one frame (length prefix + payload) to `buf`. A caller that
+/// pipelines requests queues several frames in one buffer and sends them
+/// with a single write.
+pub fn append_frame(buf: &mut Vec<u8>, payload: &[u8]) -> Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| WireError::FrameTooLarge(u32::MAX))?;
     if len > MAX_FRAME {
         return Err(WireError::FrameTooLarge(len));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    buf.reserve(4 + payload.len());
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Write one frame (length prefix + payload) with a single `write` and
+/// flush. On a `TCP_NODELAY` socket two writes would leave as two
+/// segments.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Read one frame's payload. EOF before a complete frame is an I/O error
 /// (`UnexpectedEof`); a length prefix over [`MAX_FRAME`] is
-/// [`WireError::FrameTooLarge`] and the connection must be dropped.
+/// [`WireError::FrameTooLarge`] and the connection must be dropped. Both
+/// ends read through a [`std::io::BufReader`], so a frame costs a copy
+/// out of its buffer rather than two system calls.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;

@@ -7,13 +7,13 @@
 //! only return `Err`.
 
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{BufReader, Cursor, Read, Write};
 use std::ops::Bound;
 use tdb::session::SessionStats;
 use tdb::{Durability, Error, ErrorKind, IndexKind, IndexSpec, Key, ObjectId};
 use tdb_wire::{
-    decode_error_kind, encode_error_kind, read_frame, write_frame, Hello, Request, Response,
-    WireError, MAX_FRAME, PROTOCOL_VERSION,
+    append_frame, decode_error_kind, encode_error_kind, read_frame, write_frame, Hello, Request,
+    Response, WireError, MAX_FRAME, PROTOCOL_VERSION,
 };
 
 const ALL_KINDS: [ErrorKind; 11] = [
@@ -234,6 +234,58 @@ fn truncated_frames_error_cleanly() {
     }
 }
 
+/// A writer that counts `write` calls.
+#[derive(Default)]
+struct CountingWriter {
+    writes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// On a `TCP_NODELAY` socket every `write` can leave as its own segment:
+/// a frame's length prefix and payload must go out together.
+#[test]
+fn a_frame_is_written_with_one_write_call() {
+    for len in [0usize, 1, 300, 70_000] {
+        let payload = vec![0x42; len];
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1, "{len}-byte payload took {} writes", w.writes);
+        assert_eq!(read_frame(&mut Cursor::new(&w.bytes)).unwrap(), payload);
+    }
+}
+
+/// A reader that hands out its bytes in the given chunk sizes (cycled),
+/// the way a socket delivers a pipelined batch in arbitrary pieces.
+struct Trickle {
+    data: Vec<u8>,
+    pos: usize,
+    sizes: Vec<usize>,
+    call: usize,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.sizes[self.call % self.sizes.len()];
+        self.call += 1;
+        let n = want.min(buf.len()).min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
 fn key_strategy() -> impl Strategy<Value = Key> {
     let leaf = prop_oneof![
         any::<i64>().prop_map(Key::I64),
@@ -279,6 +331,29 @@ proptest! {
         let _ = Request::decode(&encoded[..cut]);
         let _ = Response::decode(&encoded[..cut]);
         let _ = Hello::decode(&encoded[..cut]);
+    }
+
+    #[test]
+    fn frames_decode_identically_however_the_bytes_arrive(
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..300), 1..8),
+        sizes in proptest::collection::vec(1usize..64, 1..16),
+        buffered in any::<bool>(),
+    ) {
+        let mut data = Vec::new();
+        for p in &payloads {
+            append_frame(&mut data, p).unwrap();
+        }
+        let trickle = Trickle { data, pos: 0, sizes, call: 0 };
+        let mut reader: Box<dyn Read> = if buffered {
+            Box::new(BufReader::with_capacity(16, trickle))
+        } else {
+            Box::new(trickle)
+        };
+        for p in &payloads {
+            prop_assert_eq!(&read_frame(&mut reader).unwrap(), p);
+        }
+        // Clean end of stream after the last frame.
+        prop_assert!(read_frame(&mut reader).is_err());
     }
 
     #[test]

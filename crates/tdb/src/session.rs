@@ -179,6 +179,13 @@ pub trait SessionTxn {
     /// the read-modify-write with [`SessionTxn::write_back`].
     fn get_for_update(&self, coll: &str, oid: ObjectId) -> SResult<Vec<u8>>;
     /// Replace a member from pickled bytes, running index maintenance.
+    ///
+    /// A remote backend may send this call together with the next one
+    /// and report its error from a later call of the same transaction —
+    /// at the latest from `commit`, which then aborts the transaction
+    /// instead of committing it. `ensure_collection` and `begin` are
+    /// reported the same way. Treat an error from any call as the
+    /// transaction's and abort.
     fn write_back(&self, coll: &str, oid: ObjectId, bytes: &[u8]) -> SResult<()>;
     /// Commit with the given durability. Consumes the handle.
     fn commit(self: Box<Self>, durability: Durability) -> SResult<()>;

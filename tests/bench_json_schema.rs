@@ -125,7 +125,11 @@ fn emitted_bench_json_validates() {
     }
 
     if require {
-        for want in ["BENCH_overheads.json", "BENCH_fig10_tpcb.json"] {
+        for want in [
+            "BENCH_overheads.json",
+            "BENCH_fig10_tpcb.json",
+            "BENCH_fig_server.json",
+        ] {
             assert!(
                 seen.iter().any(|n| n == want),
                 "REQUIRE_BENCH_JSON=1 but {want} is missing from {} (found: {seen:?})",

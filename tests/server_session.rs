@@ -417,3 +417,201 @@ fn idle_remote_transactions_are_reaped_under_short_timeouts() {
     drop(remote);
     server.shutdown();
 }
+
+/// `account`, `teller` and `branch` with one record each (id 1), plus an
+/// empty `history`, committed through `s`.
+fn seed_transfer_tables(s: &dyn Session) {
+    let t = s.begin().unwrap();
+    for table in ["account", "teller", "branch", "history"] {
+        let unique = table != "history";
+        let spec = IndexSpec::new("by-id", "tpcb.id", unique, IndexKind::Hash);
+        t.ensure_collection(table, &[spec]).unwrap();
+        if unique {
+            t.insert(table, &to_bytes(&TpcbRecord::new(1))).unwrap();
+        }
+    }
+    t.commit(Durability::Durable).unwrap();
+}
+
+fn collection_count(s: &dyn Session, coll: &str) -> u64 {
+    let r = s.begin_read().unwrap();
+    let n = r.count(coll).unwrap();
+    r.finish().unwrap();
+    n
+}
+
+fn server_counter(server: &Server, name: &str) -> u64 {
+    server.session().db().obs().snapshot().counter(name)
+}
+
+/// A failed `write_back` surfaces with the error the embedded backend
+/// returns — from the next call of the transaction when the remote
+/// backend pipelined it.
+#[test]
+fn a_queued_write_back_that_fails_surfaces_from_the_next_call() {
+    let embedded = open_db(1).session();
+    seed_transfer_tables(&embedded);
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+
+    let mut errors = Vec::new();
+    for s in [&embedded as &dyn Session, &*remote] {
+        let t = s.begin().unwrap();
+        let ids = t.lookup_ids("account", "by-id", &Key::U64(1)).unwrap();
+        let bytes = t.get_for_update("account", ids[0]).unwrap();
+        let err = match t.write_back("no-such-table", ids[0], &bytes) {
+            Err(e) => e,
+            // Queued: the next call of the transaction reports it.
+            Ok(()) => expect_err(
+                t.lookup_ids("teller", "by-id", &Key::U64(1)),
+                "the call after a failed write_back",
+            ),
+        };
+        t.abort().unwrap();
+        errors.push(err);
+    }
+    let remote_err = errors.pop().unwrap();
+    assert_same_error(errors.pop().unwrap(), remote_err);
+
+    // The connection is still in step: the next transaction works.
+    let t = remote.begin().unwrap();
+    assert_eq!(
+        t.lookup_ids("account", "by-id", &Key::U64(1))
+            .unwrap()
+            .len(),
+        1
+    );
+    t.commit(Durability::Durable).unwrap();
+    drop(remote);
+    server.shutdown();
+}
+
+/// `abort` reports its own outcome: a queued `write_back`'s error is moot
+/// once the transaction is aborted, so both backends abort cleanly and
+/// release the transaction's locks.
+#[test]
+fn an_abort_after_a_failed_queued_write_back_succeeds() {
+    let embedded = open_db(1).session();
+    seed_transfer_tables(&embedded);
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+
+    for s in [&embedded as &dyn Session, &*remote] {
+        let t = s.begin().unwrap();
+        let ids = t.lookup_ids("account", "by-id", &Key::U64(1)).unwrap();
+        let bytes = t.get_for_update("account", ids[0]).unwrap();
+        let _ = t.write_back("no-such-table", ids[0], &bytes);
+        t.abort().unwrap();
+        let t = s.begin().unwrap();
+        t.get_for_update("account", ids[0]).unwrap();
+        t.commit(Durability::Durable).unwrap();
+    }
+    drop(remote);
+    server.shutdown();
+}
+
+/// `commit` never rides behind an unanswered request: a transaction whose
+/// queued `write_back` failed aborts instead of committing without it.
+#[test]
+fn a_commit_after_a_failed_queued_write_back_aborts() {
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+
+    let t = remote.begin().unwrap();
+    t.insert("history", &to_bytes(&TpcbRecord::new(7))).unwrap();
+    let ids = t.lookup_ids("account", "by-id", &Key::U64(1)).unwrap();
+    let bytes = t.get_for_update("account", ids[0]).unwrap();
+    let updated = tdb::session::modify_bytes::<TpcbRecord>(remote.classes(), &bytes, |r| {
+        r.balance += 99;
+    })
+    .unwrap();
+    t.write_back("account", ids[0], &updated).unwrap();
+    t.write_back("no-such-table", ids[0], &updated).unwrap();
+    let err = expect_err(
+        t.commit(Durability::Durable),
+        "commit after a failed write_back",
+    );
+    assert_eq!(err.kind(), ErrorKind::NotFound, "unexpected: {err}");
+
+    // Nothing of the transaction is visible: no history row, no balance.
+    assert_eq!(collection_count(&*remote, "history"), 0);
+    let r = remote.begin_read().unwrap();
+    let bytes = r.read(ids[0]).unwrap();
+    let balance = with_bytes::<TpcbRecord, i64>(remote.classes(), &bytes, |r| r.balance).unwrap();
+    assert_eq!(balance, 0);
+    r.finish().unwrap();
+    // And the lock it held is gone: a new transaction updates the record.
+    let t = remote.begin().unwrap();
+    t.get_for_update("account", ids[0]).unwrap();
+    t.commit(Durability::Durable).unwrap();
+    drop(remote);
+    server.shutdown();
+}
+
+/// Ten thousand `write_back`s in one transaction complete: the queue is
+/// sent whenever it would pass its byte bound, so neither end blocks on a
+/// full socket buffer.
+#[test]
+fn ten_thousand_write_backs_in_one_transaction_complete() {
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+    let flushes = server_counter(&server, "server.reply_flushes");
+    let request_bytes = server_counter(&server, "server.request_bytes");
+
+    let t = remote.begin().unwrap();
+    let ids = t.lookup_ids("account", "by-id", &Key::U64(1)).unwrap();
+    let bytes = t.get_for_update("account", ids[0]).unwrap();
+    for i in 1..=10_000i64 {
+        let updated = tdb::session::modify_bytes::<TpcbRecord>(remote.classes(), &bytes, |r| {
+            r.balance = i;
+        })
+        .unwrap();
+        t.write_back("account", ids[0], &updated).unwrap();
+    }
+    t.commit(Durability::Durable).unwrap();
+
+    let r = remote.begin_read().unwrap();
+    let bytes = r.read(ids[0]).unwrap();
+    let balance = with_bytes::<TpcbRecord, i64>(remote.classes(), &bytes, |r| r.balance).unwrap();
+    assert_eq!(balance, 10_000);
+    r.finish().unwrap();
+
+    // At most 64 KiB of requests per write: the queue went out in several.
+    let sent = server_counter(&server, "server.request_bytes") - request_bytes;
+    let trips = server_counter(&server, "server.reply_flushes") - flushes;
+    assert!(
+        trips > sent / (64 * 1024),
+        "{sent} request bytes in {trips} round trips"
+    );
+    drop(remote);
+    server.shutdown();
+}
+
+/// One transfer-shaped transaction — begin, three × (lookup_ids,
+/// get_for_update, write_back), insert, commit — is 12 requests in 8 round
+/// trips: begin and each write_back ride with the next call.
+#[test]
+fn a_remote_transfer_takes_eight_round_trips_for_twelve_requests() {
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+    let flushes = server_counter(&server, "server.reply_flushes");
+    let requests = server_counter(&server, "server.requests");
+
+    let t = remote.begin().unwrap();
+    for table in ["account", "teller", "branch"] {
+        let ids = t.lookup_ids(table, "by-id", &Key::U64(1)).unwrap();
+        let bytes = t.get_for_update(table, ids[0]).unwrap();
+        let updated = tdb::session::modify_bytes::<TpcbRecord>(remote.classes(), &bytes, |r| {
+            r.balance += 5;
+        })
+        .unwrap();
+        t.write_back(table, ids[0], &updated).unwrap();
+    }
+    t.insert("history", &to_bytes(&TpcbRecord::new(1))).unwrap();
+    t.commit(Durability::Durable).unwrap();
+
+    assert_eq!(server_counter(&server, "server.requests") - requests, 12);
+    assert_eq!(server_counter(&server, "server.reply_flushes") - flushes, 8);
+    drop(remote);
+    server.shutdown();
+}
