@@ -42,7 +42,7 @@ use crate::snapshot::{ShardSnapshot, SnapCore, SnapshotDiff};
 use crate::stats::{add, SharedStats, Stats};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use tdb_core::Durability;
 use tdb_crypto::Digest;
@@ -677,10 +677,6 @@ pub(crate) struct StoreCore {
     /// group mutex so committers can check coverage (and spin briefly on
     /// an in-flight anchor round) without any lock traffic.
     durable_seq: AtomicU64,
-    /// Lock-free copy of [`GroupState::leader_active`]: committers spin
-    /// for an in-flight anchor round only while one runs. A stale read
-    /// only decides whether to spin before taking the group lock.
-    leader_running: AtomicBool,
     group: Mutex<GroupState>,
     group_cv: Condvar,
     /// Handshake with the background maintenance thread (kick, stall,
@@ -885,14 +881,7 @@ impl StoreCore {
         // cost of a condvar sleep/wake, so parking immediately would turn
         // group commit into a context-switch tax. The budget is small
         // enough that a real disk sync falls through to the sleep path.
-        // With no round in flight nothing can cover us: a lone committer
-        // goes straight to leading one.
-        let spins = if self.leader_running.load(Ordering::Acquire) {
-            500
-        } else {
-            0
-        };
-        for _ in 0..spins {
+        for _ in 0..500 {
             std::hint::spin_loop();
             if self.durable_seq.load(Ordering::Acquire) >= my_seq {
                 self.covered_by_other_round(&mut wait_sw, sampled);
@@ -926,13 +915,11 @@ impl StoreCore {
                 // far. The group lock is dropped across the anchor round so
                 // new committers can append and enqueue meanwhile.
                 g.leader_active = true;
-                self.leader_running.store(true, Ordering::Release);
                 drop(g);
                 trace::emit(TraceLayer::Chunk, TraceKind::GroupLeader, my_seq, my_seq, 0);
                 let anchored: Result<u64> = self.leader_anchor_round(sampled);
                 let mut g = self.group.lock();
                 g.leader_active = false;
-                self.leader_running.store(false, Ordering::Release);
                 let covered = match anchored {
                     Ok(covered) => covered,
                     Err(e) => {
@@ -1374,7 +1361,6 @@ impl Shard {
             stats: inner.stats.clone(),
             phase_tick: AtomicU64::new(0),
             durable_seq: AtomicU64::new(inner.commit_seq),
-            leader_running: AtomicBool::new(false),
             group: Mutex::new(GroupState::default()),
             group_cv: Condvar::new(),
             maint: MaintShared::new(),

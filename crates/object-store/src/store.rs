@@ -644,12 +644,6 @@ impl ObjectStore {
         }
     }
 
-    /// Test aid: whether `oid` is resident in the object cache.
-    #[doc(hidden)]
-    pub fn debug_is_cached(&self, oid: ObjectId) -> bool {
-        self.shard_for(oid).lock().cache.contains_key(&oid.0)
-    }
-
     /// Test aid: `(accounted_bytes, recomputed_bytes, pinned_bytes)` where
     /// `accounted_bytes` is the incrementally maintained occupancy and
     /// `recomputed_bytes` a fresh walk of the cache. The two must agree or

@@ -17,13 +17,17 @@
 //! `begin_read_proven`, `ensure_collection`, `write_back` — is not sent on
 //! its own. It returns `Ok` at once and its request is queued; the next
 //! call sends the queued requests and its own in one write and reads
-//! their replies first. That call returns the first queued call's error,
-//! if any, instead of its own result. So a remote backend may report a
-//! failed `write_back` from a later call of the same transaction:
+//! their replies first. A queued call's error belongs to its transaction
+//! and stays with it until it ends: every later call of that transaction
+//! returns it instead of its own result, while calls of the other
+//! transaction and of the session are not touched. So a remote backend
+//! reports a failed `write_back` from a later call of the same
+//! transaction:
 //!
 //! * `commit` is never sent behind an unanswered request. With requests
-//!   queued it first sends them alone and reads their replies; if one
-//!   failed it aborts the transaction and returns that error, so a
+//!   queued it first sends them alone and reads their replies; if a call
+//!   of the transaction failed — whichever call's round trip brought the
+//!   reply — it aborts the transaction and returns that error, so a
 //!   transaction with a failed queued call never commits.
 //! * `abort` reports the abort's own outcome: a queued call's error is
 //!   moot once the transaction is rolled back, as it is embedded.
@@ -32,9 +36,6 @@
 //! * A second `begin` (or `begin_read`) while a handle of the same kind
 //!   is out fails at once, locally, so no call can run in another
 //!   transaction than its caller's.
-//! * Queued errors go to the next call on the connection, whichever
-//!   thread makes it; give each thread its own connection
-//!   ([`Session::fork`]).
 //!
 //! A TPC-B transfer (`begin`, three × `lookup_ids` → `get_for_update` →
 //! `write_back`, `insert`, `commit`) thus costs 8 round trips for its 12
@@ -73,13 +74,35 @@ fn io_err(e: impl std::fmt::Display) -> Error {
     Error::new(ErrorKind::Io, e.to_string())
 }
 
+/// The transaction a queued call belongs to: its error is kept for that
+/// transaction's calls and never handed to another's.
+#[derive(Clone, Copy)]
+enum Owner {
+    Txn,
+    Read,
+}
+
+fn expect_ok(reply: Response) -> SResult<()> {
+    match reply {
+        Response::Ok => Ok(()),
+        other => Err(other.into_error()),
+    }
+}
+
 struct Conn {
     /// The socket, read through a buffer; writes go to `get_ref()`.
     reader: BufReader<TcpStream>,
     /// Frames of queued calls, not sent yet.
     queued: Vec<u8>,
-    /// How many frames `queued` holds.
-    owed: usize,
+    /// The owners of the queued calls whose replies are not read yet, in
+    /// order.
+    owed: Vec<Owner>,
+    /// The first failed queued call of the open read-write transaction,
+    /// kept until that transaction ends.
+    txn_failed: Option<Response>,
+    /// The failed queued call (`begin_read`) of the open read-only
+    /// transaction, kept until that transaction ends.
+    read_failed: Option<Response>,
     /// Set when a wire-level failure poisons the conversation: request and
     /// response framing can no longer be trusted to line up.
     broken: bool,
@@ -97,36 +120,46 @@ impl Conn {
         Ok(())
     }
 
-    /// Read the replies owed to sent queued calls: the first one's error,
-    /// if any.
-    fn collect_queued(&mut self) -> tdb_wire::Result<Option<Error>> {
-        let mut first_err = None;
-        for _ in 0..std::mem::take(&mut self.owed) {
+    fn failed(&mut self, owner: Owner) -> &mut Option<Response> {
+        match owner {
+            Owner::Txn => &mut self.txn_failed,
+            Owner::Read => &mut self.read_failed,
+        }
+    }
+
+    /// The error of `owner`'s failed queued call, if one failed.
+    fn failure(&mut self, owner: Owner) -> Option<Error> {
+        self.failed(owner).clone().map(Response::into_error)
+    }
+
+    /// Read the replies owed to sent queued calls, keeping the first
+    /// failure of each transaction for that transaction.
+    fn collect_queued(&mut self) -> tdb_wire::Result<()> {
+        for owner in std::mem::take(&mut self.owed) {
             let reply = Response::decode(&read_frame(&mut self.reader)?)?;
-            if first_err.is_none() && reply != Response::Ok {
-                first_err = Some(reply.into_error());
+            let failed = self.failed(owner);
+            if failed.is_none() && reply != Response::Ok {
+                *failed = Some(reply);
             }
         }
-        Ok(first_err)
+        Ok(())
     }
 
     /// Send the queued calls alone, if there are any, and read their
     /// replies.
-    fn flush_queue(&mut self) -> tdb_wire::Result<Option<Error>> {
-        if self.owed == 0 {
-            return Ok(None);
+    fn flush_queue(&mut self) -> tdb_wire::Result<()> {
+        if self.owed.is_empty() {
+            return Ok(());
         }
         self.send(None)?;
         self.collect_queued()
     }
 
-    /// One round trip for `req`, carrying the queued calls ahead of it:
-    /// the first queued call's error, if any, and `req`'s reply.
-    fn round_trip(&mut self, req: &Request) -> tdb_wire::Result<(Option<Error>, Response)> {
+    /// One round trip for `req`, carrying the queued calls ahead of it.
+    fn round_trip(&mut self, req: &Request) -> tdb_wire::Result<Response> {
         self.send(Some(req))?;
-        let queued_err = self.collect_queued()?;
-        let reply = Response::decode(&read_frame(&mut self.reader)?)?;
-        Ok((queued_err, reply))
+        self.collect_queued()?;
+        Response::decode(&read_frame(&mut self.reader)?)
     }
 }
 
@@ -166,7 +199,9 @@ impl RemoteDb {
         let mut conn = Conn {
             reader: BufReader::new(stream),
             queued: Vec::new(),
-            owed: 0,
+            owed: Vec::new(),
+            txn_failed: None,
+            read_failed: None,
             broken: false,
         };
         let hello = Hello {
@@ -231,43 +266,49 @@ impl RemoteDb {
         })
     }
 
-    /// Send the queued calls, if any, and read their replies: the first
-    /// one's error, if any.
-    fn flush_queue(&self) -> SResult<()> {
-        self.with_conn(Conn::flush_queue)?.map_or(Ok(()), Err)
-    }
-
-    /// One round trip for `req`, carrying any queued calls ahead of it. A
-    /// queued call's error takes the place of `req`'s reply.
+    /// One round trip for `req`, carrying any queued calls ahead of it.
     fn call(&self, req: &Request) -> SResult<Response> {
-        let (queued_err, reply) = self.with_conn(|conn| conn.round_trip(req))?;
-        queued_err.map_or(Ok(reply), Err)
+        self.with_conn(|conn| conn.round_trip(req))
     }
 
-    /// A call that expects the unit `Ok` response.
-    fn call_ok(&self, req: &Request) -> SResult<()> {
-        match self.call(req)? {
-            Response::Ok => Ok(()),
-            other => Err(other.into_error()),
-        }
+    /// A call of `owner`'s transaction. Once one of that transaction's
+    /// queued calls failed, every later call returns that failure: it is
+    /// not sent, or its reply is dropped if the failure came with it.
+    fn call_in(&self, owner: Owner, req: &Request) -> SResult<Response> {
+        self.with_conn(|conn| {
+            if let Some(e) = conn.failure(owner) {
+                return Ok(Err(e));
+            }
+            let reply = conn.round_trip(req)?;
+            Ok(conn.failure(owner).map_or(Ok(reply), Err))
+        })?
     }
 
-    /// Queue a call whose only reply is `Ok`; the next call sends it (see
-    /// the crate docs). The queued calls go out first if this one would
-    /// take them past [`QUEUE_LIMIT`]; then an error of theirs is this
-    /// call's, and it is not queued.
-    fn queue(&self, req: &Request) -> SResult<()> {
+    /// Queue a call of `owner`'s transaction whose only reply is `Ok`; a
+    /// later call sends it (see the crate docs). The queued calls go out
+    /// first if this one would take them past [`QUEUE_LIMIT`]. Fails at
+    /// once, queuing nothing, if a queued call of the transaction already
+    /// did.
+    fn queue(&self, owner: Owner, req: &Request) -> SResult<()> {
         let payload = req.encode();
         self.with_conn(|conn| {
             if conn.queued.len() + 4 + payload.len() > QUEUE_LIMIT {
-                if let Some(e) = conn.flush_queue()? {
-                    return Ok(Err(e));
-                }
+                conn.flush_queue()?;
+            }
+            if let Some(e) = conn.failure(owner) {
+                return Ok(Err(e));
             }
             append_frame(&mut conn.queued, &payload)?;
-            conn.owed += 1;
+            conn.owed.push(owner);
             Ok(Ok(()))
         })?
+    }
+
+    /// `owner`'s transaction has ended: forget its failure.
+    fn end(&self, owner: Owner) {
+        if let Ok(mut conn) = self.conn.lock() {
+            *conn.failed(owner) = None;
+        }
     }
 }
 
@@ -285,7 +326,7 @@ fn claim(slot: &AtomicBool, what: &str) -> SResult<()> {
 impl RemoteDb {
     fn begin_read_with(&self, req: Request) -> SResult<Box<dyn SessionRead + '_>> {
         claim(&self.read_open, "a read transaction")?;
-        if let Err(e) = self.queue(&req) {
+        if let Err(e) = self.queue(Owner::Read, &req) {
             self.read_open.store(false, Ordering::Release);
             return Err(e);
         }
@@ -299,7 +340,7 @@ impl RemoteDb {
 impl Session for RemoteDb {
     fn begin(&self) -> SResult<Box<dyn SessionTxn + '_>> {
         claim(&self.txn_open, "a read-write transaction")?;
-        if let Err(e) = self.queue(&Request::Begin) {
+        if let Err(e) = self.queue(Owner::Txn, &Request::Begin) {
             self.txn_open.store(false, Ordering::Release);
             return Err(e);
         }
@@ -344,7 +385,7 @@ impl Session for RemoteDb {
     }
 
     fn checkpoint(&self) -> SResult<()> {
-        self.call_ok(&Request::Checkpoint)
+        expect_ok(self.call(&Request::Checkpoint)?)
     }
 
     fn backup_full(&self) -> SResult<String> {
@@ -366,7 +407,7 @@ impl Session for RemoteDb {
     }
 
     fn restore_latest(&self) -> SResult<()> {
-        self.call_ok(&Request::RestoreLatest)
+        expect_ok(self.call(&Request::RestoreLatest)?)
     }
 }
 
@@ -379,16 +420,26 @@ struct RemoteTxn<'a> {
     finished: Cell<bool>,
 }
 
+impl RemoteTxn<'_> {
+    fn call(&self, req: &Request) -> SResult<Response> {
+        self.db.call_in(Owner::Txn, req)
+    }
+
+    fn queue(&self, req: &Request) -> SResult<()> {
+        self.db.queue(Owner::Txn, req)
+    }
+}
+
 impl SessionTxn for RemoteTxn<'_> {
     fn ensure_collection(&self, coll: &str, specs: &[IndexSpec]) -> SResult<()> {
-        self.db.queue(&Request::EnsureCollection {
+        self.queue(&Request::EnsureCollection {
             coll: coll.to_string(),
             specs: specs.to_vec(),
         })
     }
 
     fn insert(&self, coll: &str, bytes: &[u8]) -> SResult<ObjectId> {
-        match self.db.call(&Request::Insert {
+        match self.call(&Request::Insert {
             coll: coll.to_string(),
             bytes: bytes.to_vec(),
         })? {
@@ -398,7 +449,7 @@ impl SessionTxn for RemoteTxn<'_> {
     }
 
     fn lookup_ids(&self, coll: &str, index: &str, key: &Key) -> SResult<Vec<ObjectId>> {
-        match self.db.call(&Request::LookupIds {
+        match self.call(&Request::LookupIds {
             coll: coll.to_string(),
             index: index.to_string(),
             key: key.clone(),
@@ -409,7 +460,7 @@ impl SessionTxn for RemoteTxn<'_> {
     }
 
     fn read(&self, coll: &str, oid: ObjectId) -> SResult<Vec<u8>> {
-        match self.db.call(&Request::TxnRead {
+        match self.call(&Request::TxnRead {
             coll: coll.to_string(),
             oid,
         })? {
@@ -419,7 +470,7 @@ impl SessionTxn for RemoteTxn<'_> {
     }
 
     fn get_for_update(&self, coll: &str, oid: ObjectId) -> SResult<Vec<u8>> {
-        match self.db.call(&Request::GetForUpdate {
+        match self.call(&Request::GetForUpdate {
             coll: coll.to_string(),
             oid,
         })? {
@@ -429,7 +480,7 @@ impl SessionTxn for RemoteTxn<'_> {
     }
 
     fn write_back(&self, coll: &str, oid: ObjectId, bytes: &[u8]) -> SResult<()> {
-        self.db.queue(&Request::WriteBack {
+        self.queue(&Request::WriteBack {
             coll: coll.to_string(),
             oid,
             bytes: bytes.to_vec(),
@@ -438,27 +489,24 @@ impl SessionTxn for RemoteTxn<'_> {
 
     fn commit(self: Box<Self>, durability: Durability) -> SResult<()> {
         self.finished.set(true);
-        // Never commit behind an unanswered request: if a queued call
-        // failed, the transaction must not commit without it.
-        if let Err(e) = self.db.flush_queue() {
+        // Never commit behind an unanswered request: if a queued call of
+        // this transaction failed, it must not commit without it.
+        let failure = self.db.with_conn(|conn| {
+            conn.flush_queue()?;
+            Ok(conn.failure(Owner::Txn))
+        })?;
+        if let Some(e) = failure {
             let _ = self.db.call(&Request::Abort);
             return Err(e);
         }
-        self.db.call_ok(&Request::Commit(durability))
+        expect_ok(self.db.call(&Request::Commit(durability))?)
     }
 
     fn abort(self: Box<Self>) -> SResult<()> {
         self.finished.set(true);
         // A queued call's error is moot once the transaction is aborted:
         // report the abort's own reply, as the embedded backend does.
-        match self
-            .db
-            .with_conn(|conn| conn.round_trip(&Request::Abort))?
-            .1
-        {
-            Response::Ok => Ok(()),
-            other => Err(other.into_error()),
-        }
+        expect_ok(self.db.call(&Request::Abort)?)
     }
 }
 
@@ -467,6 +515,7 @@ impl Drop for RemoteTxn<'_> {
         if !self.finished.get() {
             let _ = self.db.call(&Request::Abort);
         }
+        self.db.end(Owner::Txn);
         self.db.txn_open.store(false, Ordering::Release);
     }
 }
@@ -477,16 +526,22 @@ struct RemoteRead<'a> {
     finished: Cell<bool>,
 }
 
+impl RemoteRead<'_> {
+    fn call(&self, req: &Request) -> SResult<Response> {
+        self.db.call_in(Owner::Read, req)
+    }
+}
+
 impl SessionRead for RemoteRead<'_> {
     fn commit_seq(&self) -> SResult<u64> {
-        match self.db.call(&Request::RCommitSeq)? {
+        match self.call(&Request::RCommitSeq)? {
             Response::Count(n) => Ok(n),
             other => Err(other.into_error()),
         }
     }
 
     fn count(&self, coll: &str) -> SResult<u64> {
-        match self.db.call(&Request::RCount {
+        match self.call(&Request::RCount {
             coll: coll.to_string(),
         })? {
             Response::Count(n) => Ok(n),
@@ -495,7 +550,7 @@ impl SessionRead for RemoteRead<'_> {
     }
 
     fn exact(&self, coll: &str, index: &str, key: &Key) -> SResult<Vec<ObjectId>> {
-        match self.db.call(&Request::RExact {
+        match self.call(&Request::RExact {
             coll: coll.to_string(),
             index: index.to_string(),
             key: key.clone(),
@@ -506,7 +561,7 @@ impl SessionRead for RemoteRead<'_> {
     }
 
     fn scan(&self, coll: &str, index: &str) -> SResult<Vec<(Key, ObjectId)>> {
-        match self.db.call(&Request::RScan {
+        match self.call(&Request::RScan {
             coll: coll.to_string(),
             index: index.to_string(),
         })? {
@@ -522,7 +577,7 @@ impl SessionRead for RemoteRead<'_> {
         min: Bound<Key>,
         max: Bound<Key>,
     ) -> SResult<Vec<(Key, ObjectId)>> {
-        match self.db.call(&Request::RRange {
+        match self.call(&Request::RRange {
             coll: coll.to_string(),
             index: index.to_string(),
             min,
@@ -534,14 +589,14 @@ impl SessionRead for RemoteRead<'_> {
     }
 
     fn read(&self, oid: ObjectId) -> SResult<Vec<u8>> {
-        match self.db.call(&Request::RGet { oid })? {
+        match self.call(&Request::RGet { oid })? {
             Response::Bytes(b) => Ok(b),
             other => Err(other.into_error()),
         }
     }
 
     fn read_proven(&self, oid: ObjectId) -> SResult<ProvenBytes> {
-        match self.db.call(&Request::RReadProven { oid })? {
+        match self.call(&Request::RReadProven { oid })? {
             Response::ProvenBytes {
                 value,
                 commit_seq,
@@ -556,7 +611,7 @@ impl SessionRead for RemoteRead<'_> {
     }
 
     fn exact_proven(&self, coll: &str, index: &str, key: &Key) -> SResult<ProvenEntries> {
-        match self.db.call(&Request::RExactProven {
+        match self.call(&Request::RExactProven {
             coll: coll.to_string(),
             index: index.to_string(),
             key: key.clone(),
@@ -575,15 +630,16 @@ impl SessionRead for RemoteRead<'_> {
 
     fn finish(self: Box<Self>) -> SResult<()> {
         self.finished.set(true);
-        self.db.call_ok(&Request::FinishRead)
+        expect_ok(self.call(&Request::FinishRead)?)
     }
 }
 
 impl Drop for RemoteRead<'_> {
     fn drop(&mut self) {
         if !self.finished.get() {
-            let _ = self.db.call(&Request::FinishRead);
+            let _ = self.call(&Request::FinishRead);
         }
+        self.db.end(Owner::Read);
         self.db.read_open.store(false, Ordering::Release);
     }
 }

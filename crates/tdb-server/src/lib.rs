@@ -4,11 +4,11 @@
 //! Each accepted connection becomes a session: a dedicated thread that
 //! forks its own [`tdb::Session`] handle off the shared
 //! [`EmbeddedSession`] and answers `tdb-wire` request frames one by one,
-//! in order. Requests are read through a buffered reader and replies
-//! written through a buffered writer that is flushed only once no further
-//! request is already buffered, so the replies to requests a pipelining
-//! client sent together leave in one write (`server.reply_flushes` counts
-//! those writes: one per round trip).
+//! in order. Requests are read through a buffered reader; replies collect
+//! in one out-buffer that is written only once no further request is
+//! already buffered, so the replies to requests a pipelining client sent
+//! together leave in one write (`server.reply_flushes` counts those
+//! writes: one per round trip).
 //!
 //! Concurrent sessions' commits meet in the chunk store's leader/follower
 //! group commit, so the server inherits the commit batching the embedded
@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, ErrorKind as IoKind, Write};
+use std::io::{BufReader, ErrorKind as IoKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -358,7 +358,6 @@ fn release_quota(inner: &ServerInner, tenant: &str, len: u64) {
 fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(&stream);
-    let mut writer = BufWriter::new(&stream);
 
     // Handshake: one Hello frame before anything else.
     let hello = match read_frame(&mut reader).and_then(|f| Hello::decode(&f)) {
@@ -378,7 +377,7 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
                 hello.version
             ),
         };
-        let _ = write_frame(&mut writer, &resp.encode());
+        let _ = write_frame(&mut &stream, &resp.encode());
         return;
     }
     if inner.draining.load(Ordering::SeqCst) {
@@ -386,12 +385,12 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
             kind: ErrorKind::Usage,
             message: "server is shutting down".to_string(),
         };
-        let _ = write_frame(&mut writer, &resp.encode());
+        let _ = write_frame(&mut &stream, &resp.encode());
         return;
     }
     if let Err(e) = admit(inner, &hello.tenant) {
         inner.obs.admission_rejections.add(1);
-        let _ = write_frame(&mut writer, &Response::from_error(&e).encode());
+        let _ = write_frame(&mut &stream, &Response::from_error(&e).encode());
         return;
     }
 
@@ -414,22 +413,22 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
         version: PROTOCOL_VERSION,
         session: session_id,
     };
-    if write_frame(&mut writer, &welcome.encode()).is_ok() {
+    if write_frame(&mut &stream, &welcome.encode()).is_ok() {
         match inner.session.fork() {
             Ok(session) => {
                 let mut conn = Conn {
+                    stream: &stream,
                     reader,
-                    writer,
-                    frame: Vec::new(),
+                    out: Vec::new(),
                 };
                 request_loop(inner, &mut conn, &*session, &hello.tenant, &last_activity);
                 // Whatever way the loop ended, replies it answered go out.
-                if !conn.writer.buffer().is_empty() {
+                if !conn.out.is_empty() {
                     let _ = conn.flush(inner);
                 }
             }
             Err(e) => {
-                let _ = write_frame(&mut writer, &Response::from_error(&e).encode());
+                let _ = write_frame(&mut &stream, &Response::from_error(&e).encode());
             }
         }
     }
@@ -454,31 +453,27 @@ fn serve_conn(inner: &Arc<ServerInner>, stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// One admitted connection's buffered ends.
+/// Reply bytes an idle connection keeps buffer room for.
+const OUT_RETAIN: usize = 64 * 1024;
+
+/// One admitted connection: requests read through a buffer, replies
+/// collected in `out` until the end of the round trip.
 struct Conn<'a> {
+    stream: &'a TcpStream,
     reader: BufReader<&'a TcpStream>,
-    writer: BufWriter<&'a TcpStream>,
-    /// Scratch for the reply frame being queued.
-    frame: Vec<u8>,
+    /// Reply frames not sent yet.
+    out: Vec<u8>,
 }
 
 impl Conn<'_> {
-    /// Queue one reply frame behind the replies not yet flushed. The frame
-    /// is assembled first so it enters the writer whole: one reply never
-    /// straddles two writes unless it outgrows the writer's buffer.
-    fn queue_reply(&mut self, payload: &[u8]) -> tdb_wire::Result<()> {
-        self.frame.clear();
-        append_frame(&mut self.frame, payload)?;
-        self.writer.write_all(&self.frame)?;
-        self.frame.shrink_to(self.writer.capacity());
-        Ok(())
-    }
-
-    /// Send the replies not sent yet: the end of one round trip. (A reply
-    /// larger than the writer's buffer has already gone out whole.)
+    /// Send the replies not sent yet in one write: the end of one round
+    /// trip.
     fn flush(&mut self, inner: &ServerInner) -> std::io::Result<()> {
         inner.obs.reply_flushes.add(1);
-        self.writer.flush()
+        let sent = self.stream.write_all(&self.out);
+        self.out.clear();
+        self.out.shrink_to(OUT_RETAIN);
+        sent
     }
 }
 
@@ -506,7 +501,7 @@ fn request_loop(
                     kind: ErrorKind::Codec,
                     message: format!("frame length {n} exceeds the {MAX_FRAME}-byte cap"),
                 };
-                let _ = conn.queue_reply(&resp.encode());
+                let _ = append_frame(&mut conn.out, &resp.encode());
                 inner.obs.errors.add(1);
                 break;
             }
@@ -544,7 +539,7 @@ fn request_loop(
         // A request already buffered behind this one was sent with it:
         // answer that too before writing, so the client gets all its
         // replies in one segment.
-        let sent = conn.queue_reply(&encoded).and_then(|()| {
+        let sent = append_frame(&mut conn.out, &encoded).and_then(|()| {
             if conn.reader.buffer().is_empty() {
                 conn.flush(inner)?;
             }

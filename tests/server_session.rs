@@ -615,3 +615,58 @@ fn a_remote_transfer_takes_eight_round_trips_for_twelve_requests() {
     drop(remote);
     server.shutdown();
 }
+
+/// A queued call's failure stays with its transaction, whichever call's
+/// round trip brought the reply: here a read transaction's `finish`
+/// carries the failed `write_back`. The read transaction is not touched,
+/// every later call of the read-write transaction reports the failure —
+/// also after the caller ignored it once — and `commit` aborts.
+#[test]
+fn a_failed_write_back_answered_to_another_transaction_still_stops_the_commit() {
+    let (server, remote) = serve(open_db(1).session());
+    seed_transfer_tables(&*remote);
+
+    let t = remote.begin().unwrap();
+    t.insert("history", &to_bytes(&TpcbRecord::new(7))).unwrap();
+    let ids = t.lookup_ids("account", "by-id", &Key::U64(1)).unwrap();
+    let bytes = t.get_for_update("account", ids[0]).unwrap();
+    let updated = tdb::session::modify_bytes::<TpcbRecord>(remote.classes(), &bytes, |r| {
+        r.balance += 99;
+    })
+    .unwrap();
+    t.write_back("account", ids[0], &updated).unwrap();
+    t.write_back("no-such-table", ids[0], &updated).unwrap();
+
+    // The read transaction's calls carry the queued write_backs and are
+    // answered as usual.
+    let r = remote.begin_read().unwrap();
+    assert_eq!(r.count("account").unwrap(), 1);
+    drop(r);
+    let r = remote.begin_read().unwrap();
+    r.finish().unwrap();
+
+    let err = expect_err(
+        t.lookup_ids("teller", "by-id", &Key::U64(1)),
+        "a call after the failed write_back",
+    );
+    assert_eq!(err.kind(), ErrorKind::NotFound, "unexpected: {err}");
+    let err = expect_err(
+        t.commit(Durability::Durable),
+        "commit after a failed write_back",
+    );
+    assert_eq!(err.kind(), ErrorKind::NotFound, "unexpected: {err}");
+
+    assert_eq!(collection_count(&*remote, "history"), 0);
+    let r = remote.begin_read().unwrap();
+    let bytes = r.read(ids[0]).unwrap();
+    let balance = with_bytes::<TpcbRecord, i64>(remote.classes(), &bytes, |r| r.balance).unwrap();
+    assert_eq!(balance, 0);
+    r.finish().unwrap();
+    // The failure ended with its transaction: the next one commits.
+    let t = remote.begin().unwrap();
+    let bytes = t.get_for_update("account", ids[0]).unwrap();
+    t.write_back("account", ids[0], &bytes).unwrap();
+    t.commit(Durability::Durable).unwrap();
+    drop(remote);
+    server.shutdown();
+}
